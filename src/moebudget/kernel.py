@@ -12,6 +12,11 @@ shared expert, and the input.
 Batch evaluation groups tokens by expert in ascending expert order and
 accumulates gradients in that fixed order, so results are bit-stable across
 runs.
+
+The finite-difference oracle (``grad_check``) checks one backward pass per
+trial against forward-only central differences, evaluated for all perturbed
+copies of the flattened parameters and input in stacked chunks; each copy is
+routed from its own scores.
 """
 
 from __future__ import annotations
@@ -214,13 +219,10 @@ class BlockCache:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # branch on sign so exp never overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each side of the select is the sign-branched
+    # formula, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, bit for bit
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _silu(z: np.ndarray) -> np.ndarray:
@@ -233,27 +235,27 @@ def _silu_grad(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _top_k_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Boolean selection mask; ties break toward the lowest expert index."""
-    n, experts = scores.shape
-    order = np.argsort(-scores, axis=1, kind="stable")
-    mask = np.zeros((n, experts), dtype=bool)
-    rows = np.arange(n)[:, None]
-    mask[rows, order[:, :top_k]] = True
+    """Boolean selection mask over the last axis; ties break toward the lowest expert index."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    mask = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :top_k], True, axis=-1)
     return mask
 
 
-def _batch_gate(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    scores = _softmax_rows(x @ params.gate.weight.T)
-    mask = _top_k_mask(scores, params.top_k)
+def _batch_gate(weight: np.ndarray, x: np.ndarray, top_k: int,
+                normalized: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scores, mask, gate weights and selected-score sums of (..., n, model_dim) tokens."""
+    scores = _softmax_rows(x @ np.swapaxes(weight, -1, -2))
+    mask = _top_k_mask(scores, top_k)
     selected = np.where(mask, scores, 0.0)
-    selected_sum = selected.sum(axis=1, keepdims=True)
-    if params.normalized:
+    selected_sum = selected.sum(axis=-1, keepdims=True)
+    if normalized:
         gate_weights = selected / selected_sum
     else:
         gate_weights = selected
@@ -275,7 +277,7 @@ def gate_forward(gate: GateParams, x: np.ndarray, top_k: int,
     x = _as_matrix("x", x)
     if x.shape != (gate.model_dim,):
         raise KernelError(f"x must have shape ({gate.model_dim},), got {x.shape}")
-    scores, mask, gate_weights, _ = _batch_gate(params, x[None, :])
+    scores, mask, gate_weights, _ = _batch_gate(gate.weight, x[None, :], top_k, normalized)
     selected = tuple(int(i) for i in np.nonzero(mask[0])[0])
     return GateOutput(scores=scores[0], selected=selected,
                       gate_weights=gate_weights[0], normalized=normalized)
@@ -293,7 +295,8 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     n = x.shape[0]
     if n == 0:
         raise KernelError("x must hold at least one token")
-    scores, mask, gate_weights, selected_sum = _batch_gate(params, x)
+    scores, mask, gate_weights, selected_sum = _batch_gate(params.gate.weight, x, params.top_k,
+                                                           params.normalized)
     y = np.zeros_like(x)
     per_expert: dict[int, _ExpertCache] = {}
     for i in range(params.expert_count):
@@ -629,6 +632,16 @@ class GradCheckSettings:
     step: float = 1e-5       # scaled per entry by max(1, |theta|)
     tie_margin: float = 1e-3  # configurations routed this close to a tie are resampled
 
+    def __post_init__(self) -> None:
+        # a NaN fails every comparison, so it is rejected too
+        for name, ok, rule in (("trials", self.trials >= 1, ">= 1"),
+                               ("batch", self.batch >= 1, ">= 1"),
+                               ("lam", self.lam >= 0, ">= 0"),
+                               ("tolerance", self.tolerance > 0, "> 0"),
+                               ("step", self.step > 0, "> 0")):
+            if not ok:
+                raise KernelError(f"{name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class GradCheckTrial:
@@ -672,10 +685,46 @@ class GradCheckReport:
         }
 
 
-def _rel_error(analytic: float, numeric: float) -> float:
+def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     # Relative error with an absolute floor: below the floor the comparison
     # degrades to |a - n| <= tol * 1e-3, which central differences resolve.
-    return float(abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3))
+    return np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic),
+                                                              np.abs(numeric)), 1e-3)
+
+
+# Perturbed copies per stacked forward: scratch memory grows as _FD_CHUNK * P
+# instead of 2P * P for P checked entries.
+_FD_CHUNK = 128
+
+
+def _stacked_totals(thetas: np.ndarray, layout: Sequence[tuple[str, int, tuple[int, ...]]],
+                    probe: np.ndarray, lam: float, top_k: int, normalized: bool) -> np.ndarray:
+    """sum(probe * y) + lam * balance_loss for every row of ``thetas``, forward only.
+
+    Each row holds the block parameters and the input x, flattened in
+    ``layout`` order. Every copy is routed from its own scores; the routed
+    experts run densely, masked by their zero gate weights, and are mixed in
+    ascending expert order like ``moe_batch_forward``.
+    """
+    c = thetas.shape[0]
+    p = {name: thetas[:, off:off + math.prod(shape)].reshape(c, *shape)
+         for name, off, shape in layout}
+    x = p["x"]
+    scores, mask, gate_weights, _ = _batch_gate(p["gate.weight"], x, top_k, normalized)
+    xe = x[:, None]
+    hidden = _silu(xe @ p["experts.w_gate"].swapaxes(-1, -2)) \
+        * (xe @ p["experts.w_up"].swapaxes(-1, -2))
+    out = hidden @ p["experts.w_down"].swapaxes(-1, -2)  # (c, experts, n, model_dim)
+    y = np.zeros_like(x)
+    for i in range(out.shape[1]):
+        y += gate_weights[..., i, None] * out[:, i]
+    if "shared.w_gate" in p:
+        shared_h = _silu(x @ p["shared.w_gate"].swapaxes(-1, -2)) \
+            * (x @ p["shared.w_up"].swapaxes(-1, -2))
+        y += shared_h @ p["shared.w_down"].swapaxes(-1, -2)
+    n, experts = scores.shape[-2:]
+    balance = experts * (mask.sum(axis=-2) / n * scores.mean(axis=-2)).sum(axis=-1)
+    return (probe * y).sum(axis=(-2, -1)) + lam * balance
 
 
 def grad_check(settings: GradCheckSettings) -> GradCheckReport:
@@ -684,50 +733,39 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     Each trial draws fresh parameters, inputs and probe weights, skipping
     draws routed within ``tie_margin`` of a Top-K tie so that the frozen
     selected set is locally constant. Every parameter entry and every input
-    entry is perturbed.
+    entry is perturbed: the parameters and x are flattened into one vector
+    theta, and the 2P copies theta +- h e_j are evaluated forward only, in
+    stacked chunks of ``_FD_CHUNK`` copies, each routed from its own scores.
     """
     rng = np.random.default_rng(settings.seed)
     trials: list[GradCheckTrial] = []
     checked = 0
     for trial in range(settings.trials):
         params, x, probe = _draw_non_tie_configuration(rng, settings)
-        total, grads, _ = probe_total_and_grads(params, x, probe, settings.lam)
-
-        def total_at(p: BlockParams, x_arr: np.ndarray) -> float:
-            t, _, _ = probe_total_and_grads(p, x_arr, probe, settings.lam)
-            return t
-
-        worst = 0.0
+        _, grads, _ = probe_total_and_grads(params, x, probe, settings.lam)
+        named = named_parameters(params) + [("x", x)]
+        offsets = np.cumsum([0] + [arr.size for _, arr in named])
+        layout = [(name, int(off), arr.shape) for (name, arr), off in zip(named, offsets)]
+        theta = np.concatenate([arr.ravel() for _, arr in named])
+        analytic = np.concatenate([g.ravel() for _, g in named_gradients(params, grads)]
+                                  + [grads.x.ravel()])
+        h = settings.step * np.maximum(1.0, np.abs(theta))
+        bumped = np.concatenate([theta + h, theta - h])
+        totals = np.empty_like(bumped)
+        for start in range(0, bumped.size, _FD_CHUNK):
+            rows = np.arange(start, min(start + _FD_CHUNK, bumped.size))
+            copies = np.tile(theta, (rows.size, 1))
+            copies[np.arange(rows.size), rows % theta.size] = bumped[rows]
+            totals[rows] = _stacked_totals(copies, layout, probe, settings.lam,
+                                           params.top_k, params.normalized)
+        errors = _rel_error(analytic, (totals[:theta.size] - totals[theta.size:]) / (2 * h))
+        checked += theta.size
+        k = int(np.argmax(errors))  # the first entry with the largest error
         worst_name = ""
-        for name, arr in named_parameters(params):
-            analytic = dict(named_gradients(params, grads))[name]
-            flat = arr.ravel()
-            for j in range(flat.size):
-                h = settings.step * max(1.0, abs(flat[j]))
-                bumped = arr.copy().ravel()
-                bumped[j] = flat[j] + h
-                plus = total_at(replace_parameter(params, name, bumped.reshape(arr.shape)), x)
-                bumped[j] = flat[j] - h
-                minus = total_at(replace_parameter(params, name, bumped.reshape(arr.shape)), x)
-                numeric = (plus - minus) / (2 * h)
-                err = _rel_error(analytic.ravel()[j], numeric)
-                checked += 1
-                if err > worst:
-                    worst, worst_name = err, f"{name}[{j}]"
-        flat_x = x.ravel()
-        for j in range(flat_x.size):
-            h = settings.step * max(1.0, abs(flat_x[j]))
-            bumped = x.copy().ravel()
-            bumped[j] = flat_x[j] + h
-            plus = total_at(params, bumped.reshape(x.shape))
-            bumped[j] = flat_x[j] - h
-            minus = total_at(params, bumped.reshape(x.shape))
-            numeric = (plus - minus) / (2 * h)
-            err = _rel_error(grads.x.ravel()[j], numeric)
-            checked += 1
-            if err > worst:
-                worst, worst_name = err, f"x[{j}]"
-        trials.append(GradCheckTrial(trial=trial, max_rel_error=worst,
+        if errors[k] > 0.0:
+            name, off, _ = layout[int(np.searchsorted(offsets, k, side="right")) - 1]
+            worst_name = f"{name}[{k - off}]"
+        trials.append(GradCheckTrial(trial=trial, max_rel_error=float(errors[k]),
                                      worst_parameter=worst_name))
     return GradCheckReport(settings=settings, trials=tuple(trials), checked_entries=checked)
 

@@ -41,11 +41,17 @@ class IdentifiabilityError(PlannerError):
 
 
 def tokens_for_compute(train_compute: float, fwd_flops_per_token: float) -> int:
-    """Token budget that exhausts a training-compute budget: floor(C / (3 M_fwd))."""
+    """Token budget that exhausts a training-compute budget: floor(C / (3 M_fwd)).
+
+    Exact when both arguments are integers; float division would lose the
+    low bits of large counts and can return D - 1 for C = 3 M_fwd D.
+    """
     if fwd_flops_per_token <= 0:
         raise PlannerError(f"fwd_flops_per_token must be > 0, got {fwd_flops_per_token}")
     if train_compute < 0:
         raise PlannerError(f"train_compute must be >= 0, got {train_compute}")
+    if isinstance(train_compute, int) and isinstance(fwd_flops_per_token, int):
+        return train_compute // (3 * fwd_flops_per_token)
     return int(train_compute / (3.0 * fwd_flops_per_token))
 
 

@@ -79,6 +79,16 @@ class TestExitCodes:
                            "--alpha", "2.77"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--trials", "0"), ("--lam", "-1"), ("--tolerance", "0"),
+    ])
+    def test_invalid_grad_check_settings(self, flag, value):
+        result = dispatch(["grad-check", flag, value])
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert flag.lstrip("-") in result.diagnostics
+        assert "\n" not in result.diagnostics
+
 
 class TestPayloads:
     def test_plan_moe_budget(self, moe_shape_file):

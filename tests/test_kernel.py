@@ -11,6 +11,7 @@ from moebudget.kernel import (
     BlockParams,
     GateParams,
     KernelError,
+    _sigmoid,
     balance_stats,
     gate_forward,
     gate_outputs_from_cache,
@@ -214,6 +215,19 @@ class TestBalanceStats:
     def test_empty_batch_rejected(self):
         with pytest.raises(KernelError, match="nonempty"):
             balance_stats([])
+
+
+def test_branch_free_sigmoid_matches_sign_branched_form():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 2001), [0.0, -0.0, 1e-300, -1e-300]])
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    expected[~pos] = ez / (1.0 + ez)
+    assert np.array_equal(_sigmoid(z), expected)
+    # the stacked oracle applies it to 4-D arrays
+    assert np.array_equal(_sigmoid(z[:2000].reshape(2, 10, 10, 10)),
+                          expected[:2000].reshape(2, 10, 10, 10))
 
 
 class TestLosses:

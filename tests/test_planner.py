@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from moebudget.arch import DenseShape, MoEShape
+from moebudget.arch import DenseShape, MoEShape, training_compute
 from moebudget.fixtures import load_table
 from moebudget.planner import (
     IdentifiabilityError,
@@ -41,6 +43,11 @@ class TestTokensForCompute:
     def test_nonpositive_flops_rejected(self):
         with pytest.raises(PlannerError, match="fwd_flops"):
             tokens_for_compute(1e20, 0.0)
+
+    @given(st.integers(1, 2**60), st.integers(0, 2**60))
+    @example(71999863749, 129944532028)  # float division gave D - 1
+    def test_integer_counts_round_trip(self, fwd_flops, tokens):
+        assert tokens_for_compute(training_compute(fwd_flops, tokens), fwd_flops) == tokens
 
 
 class TestReuse:
