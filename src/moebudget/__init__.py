@@ -42,12 +42,10 @@ from .kernel import (
     BalanceStats,
     BlockParams,
     GateOutput,
-    GateParams,
     GradCheckSettings,
     KernelError,
+    Layout,
     LossBundle,
-    RoutedExperts,
-    SharedExpert,
     balance_stats,
     gate_forward,
     grad_check,
@@ -55,8 +53,6 @@ from .kernel import (
     load_checkpoint,
     moe_batch_backward,
     moe_batch_forward,
-    moe_block_backward,
-    moe_block_forward,
     save_checkpoint,
     total_loss,
 )

@@ -448,10 +448,7 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
     except InfeasibleSpecError as exc:
         return CommandResult(EXIT_INFEASIBLE, "", f"infeasible: {exc}")
     except (arch.ShapeError, kernel.KernelError, toylab.ToyConfigError,
-            fixtures.FixtureError, planner.IdentifiabilityError,
-            SearchSpecError) as exc:
-        return CommandResult(EXIT_VALIDATION, "", str(exc))
-    except planner.PlannerError as exc:
+            fixtures.FixtureError, planner.PlannerError, SearchSpecError) as exc:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
     except toylab.DivergenceError as exc:
         return CommandResult(EXIT_NUMERICAL, "", str(exc))

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .arch import DenseShape, MoEShape, derive_budget
+from .planner import iterations
 
 FIXTURES_ENV_VAR = "MOEBUDGET_FIXTURES"
 _PACKAGED_DIR = Path(__file__).parent / "fixtures"
@@ -222,10 +223,8 @@ def validate_table(table: FixtureTable) -> ValidationReport:
         check(idx, "C", row["C"], budget.train_compute, REL_TOL)
         check(idx, "D/N", row["D/N"], budget.tokens_per_param, REL_TOL)
 
-        batch = int(row["B"])
-        seq_len = shape.seq_len
-        iters = round(tokens / (batch * seq_len))
-        check(idx, "Iters", row["Iters"], iters, ITERS_REL_TOL)
+        check(idx, "Iters", row["Iters"], iterations(tokens, int(row["B"]), shape.seq_len),
+              ITERS_REL_TOL)
 
         if table.reuse_scheme == "strict":
             epochs = tokens / float(table.meta["unique_tokens"])

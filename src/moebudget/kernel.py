@@ -9,14 +9,23 @@ the selected scores to sum to 1. The backward pass freezes the selected set
 softmax Jacobian restricted to the selected outputs, the expert weights, the
 shared expert, and the input.
 
+The block's parameters are one contiguous float64 vector ``theta`` with a
+static ``Layout`` of (name, offset, shape) entries, in this order:
+``gate.weight`` (experts, model_dim); ``experts.w_gate`` and ``experts.w_up``
+(experts, expert_dim, model_dim); ``experts.w_down`` (experts, model_dim,
+expert_dim); and, with a shared expert, ``shared.w_gate`` and ``shared.w_up``
+(shared_dim, model_dim) and ``shared.w_down`` (model_dim, shared_dim). The
+named arrays are views into theta, gradients come back flat in the same
+layout, and a checkpoint stores the named arrays.
+
 Batch evaluation groups tokens by expert in ascending expert order and
 accumulates gradients in that fixed order, so results are bit-stable across
 runs.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences, evaluated for all perturbed
-copies of the flattened parameters and input in stacked chunks; each copy is
-routed from its own scores.
+copies of theta followed by the input in stacked chunks; each copy is routed
+from its own scores.
 """
 
 from __future__ import annotations
@@ -24,9 +33,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -51,94 +60,121 @@ def _as_matrix(name: str, arr: Any, shape: tuple[int, ...] | None = None) -> np.
 
 
 @dataclass(frozen=True)
-class GateParams:
-    """Router weights, one row of logit weights per expert."""
+class Layout:
+    """Static (name, offset, shape) entries of a flat float64 vector."""
 
-    weight: np.ndarray  # (experts, model_dim)
+    entries: tuple[tuple[str, int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", _as_matrix("gate weight", self.weight))
-        if self.weight.ndim != 2:
-            raise KernelError(f"gate weight must be 2-D, got {self.weight.ndim}-D")
-
-    @property
-    def experts(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def model_dim(self) -> int:
-        return self.weight.shape[1]
-
-
-@dataclass(frozen=True)
-class RoutedExperts:
-    """Stacked SwiGLU weights for all routed experts (no biases)."""
-
-    w_gate: np.ndarray  # (experts, expert_dim, model_dim)
-    w_up: np.ndarray    # (experts, expert_dim, model_dim)
-    w_down: np.ndarray  # (experts, model_dim, expert_dim)
-
-    def __post_init__(self) -> None:
-        w_gate = _as_matrix("expert w_gate", self.w_gate)
-        if w_gate.ndim != 3:
-            raise KernelError("expert weights must be stacked 3-D arrays")
-        e, d_e, d_m = w_gate.shape
-        object.__setattr__(self, "w_gate", w_gate)
-        object.__setattr__(self, "w_up", _as_matrix("expert w_up", self.w_up, (e, d_e, d_m)))
-        object.__setattr__(self, "w_down", _as_matrix("expert w_down", self.w_down, (e, d_m, d_e)))
+    @classmethod
+    def of(cls, shapes: Sequence[tuple[str, tuple[int, ...]]]) -> Layout:
+        """Entries packed back to back in the given order."""
+        entries, offset = [], 0
+        for name, shape in shapes:
+            entries.append((name, offset, tuple(shape)))
+            offset += math.prod(shape)
+        return cls(tuple(entries))
 
     @property
-    def count(self) -> int:
-        return self.w_gate.shape[0]
+    def size(self) -> int:
+        return sum(math.prod(shape) for _, _, shape in self.entries)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a (..., size) array; the leading axes are kept."""
+        lead = flat.shape[:-1]
+        return {name: flat[..., off:off + math.prod(shape)].reshape(*lead, *shape)
+                for name, off, shape in self.entries}
+
+    def label(self, index: int) -> str:
+        """``name[j]``: the entry holding flat index ``index``, and j within it."""
+        for name, off, shape in self.entries:
+            if index < off + math.prod(shape):
+                return f"{name}[{index - off}]"
+        raise IndexError(f"flat index {index} is outside a layout of size {self.size}")
 
 
-@dataclass(frozen=True)
-class SharedExpert:
-    """One always-active SwiGLU expert, added to the output ungated."""
-
-    w_gate: np.ndarray  # (shared_dim, model_dim)
-    w_up: np.ndarray    # (shared_dim, model_dim)
-    w_down: np.ndarray  # (model_dim, shared_dim)
-
-    def __post_init__(self) -> None:
-        w_gate = _as_matrix("shared w_gate", self.w_gate)
-        if w_gate.ndim != 2:
-            raise KernelError("shared expert weights must be 2-D")
-        d_se, d_m = w_gate.shape
-        object.__setattr__(self, "w_gate", w_gate)
-        object.__setattr__(self, "w_up", _as_matrix("shared w_up", self.w_up, (d_se, d_m)))
-        object.__setattr__(self, "w_down", _as_matrix("shared w_down", self.w_down, (d_m, d_se)))
+def _block_shapes(experts: int, model_dim: int, expert_dim: int,
+                  shared_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    shapes = [("gate.weight", (experts, model_dim)),
+              ("experts.w_gate", (experts, expert_dim, model_dim)),
+              ("experts.w_up", (experts, expert_dim, model_dim)),
+              ("experts.w_down", (experts, model_dim, expert_dim))]
+    if shared_dim > 0:
+        shapes += [("shared.w_gate", (shared_dim, model_dim)),
+                   ("shared.w_up", (shared_dim, model_dim)),
+                   ("shared.w_down", (model_dim, shared_dim))]
+    return shapes
 
 
-@dataclass(frozen=True)
+def _block_layout(shapes: Mapping[str, tuple[int, ...]]) -> Layout:
+    """The block layout of named shapes, checked to agree with each other."""
+    gate, routed = shapes.get("gate.weight", ()), shapes.get("experts.w_gate", ())
+    shared = shapes.get("shared.w_gate", (0, 0))
+    if (len(gate), len(routed), len(shared)) != (2, 3, 2):
+        raise KernelError("block parameters need a 2-D gate.weight, a 3-D experts.w_gate "
+                          f"and a 2-D shared.w_gate if shared, got {dict(shapes)}")
+    expected = _block_shapes(gate[0], gate[1], routed[1], shared[0])
+    if set(shapes) != {name for name, _ in expected}:
+        raise KernelError(f"block parameters must be {[name for name, _ in expected]}, "
+                          f"got {sorted(shapes)}")
+    for name, shape in expected:
+        if tuple(shapes[name]) != shape:
+            raise KernelError(f"{name} must have shape {shape}, got {tuple(shapes[name])}")
+    return Layout.of(expected)
+
+
+def _check_routing(experts: int, top_k: int, normalized: bool) -> None:
+    if not 1 <= top_k <= experts:
+        raise KernelError(f"top_k must be in [1, {experts}], got {top_k}")
+    # One renormalized score is the constant 1 and has zero gradient.
+    if normalized and top_k < 2:
+        raise KernelError("normalized gating requires top_k >= 2")
+
+
+@dataclass(frozen=True, eq=False)
 class BlockParams:
-    gate: GateParams
-    experts: RoutedExperts
-    shared: SharedExpert | None
+    """Block parameters: one flat float64 ``theta`` in the block ``layout``.
+
+    ``views`` maps each parameter name to its array, a view into theta.
+    Shapes, finiteness and routing are checked once, at construction; a
+    caller that updates theta in place owns its finiteness from then on.
+    """
+
+    theta: np.ndarray
+    layout: Layout
     top_k: int
     normalized: bool = False
+    views: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        e = self.gate.experts
-        if self.experts.count != e:
-            raise KernelError(f"gate has {e} experts but weights stack {self.experts.count}")
-        if self.experts.w_gate.shape[2] != self.gate.model_dim:
-            raise KernelError("expert weights and gate disagree on model_dim")
-        if self.shared is not None and self.shared.w_gate.shape[1] != self.gate.model_dim:
-            raise KernelError("shared expert and gate disagree on model_dim")
-        if not 1 <= self.top_k <= e:
-            raise KernelError(f"top_k must be in [1, {e}], got {self.top_k}")
-        # One renormalized score is the constant 1 and has zero gradient.
-        if self.normalized and self.top_k < 2:
-            raise KernelError("normalized gating requires top_k >= 2")
+        layout = _block_layout({name: shape for name, _, shape in self.layout.entries})
+        if layout != self.layout:
+            raise KernelError("block layout entries must be packed in canonical order")
+        theta = np.asarray(self.theta, dtype=np.float64)
+        if theta.shape != (layout.size,):
+            raise KernelError(f"theta must have shape ({layout.size},), got {theta.shape}")
+        bad = np.flatnonzero(~np.isfinite(theta))
+        if bad.size:
+            raise KernelError(f"{layout.label(int(bad[0]))} is not finite")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "views", layout.views(theta))
+        _check_routing(self.expert_count, self.top_k, self.normalized)
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, Any], top_k: int,
+                    normalized: bool = False) -> BlockParams:
+        """Copy named parameter arrays into one flat theta."""
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+        layout = _block_layout({name: arr.shape for name, arr in arrays.items()})
+        theta = np.concatenate([arrays[name].ravel() for name, _, _ in layout.entries])
+        return cls(theta, layout, top_k, normalized)
 
     @property
     def model_dim(self) -> int:
-        return self.gate.model_dim
+        return self.views["gate.weight"].shape[1]
 
     @property
     def expert_count(self) -> int:
-        return self.gate.experts
+        return self.views["gate.weight"].shape[0]
 
 
 @dataclass(frozen=True)
@@ -181,13 +217,10 @@ class LossBundle:
 
 @dataclass(frozen=True)
 class BlockGrads:
-    gate_weight: np.ndarray
-    expert_w_gate: np.ndarray
-    expert_w_up: np.ndarray
-    expert_w_down: np.ndarray
-    shared_w_gate: np.ndarray | None
-    shared_w_up: np.ndarray | None
-    shared_w_down: np.ndarray | None
+    """Parameter gradients, flat in the block layout, and the input gradient."""
+
+    theta: np.ndarray
+    views: dict[str, np.ndarray]  # named views into theta
     x: np.ndarray
 
 
@@ -262,22 +295,15 @@ def _batch_gate(weight: np.ndarray, x: np.ndarray, top_k: int,
     return scores, mask, gate_weights, selected_sum
 
 
-def gate_forward(gate: GateParams, x: np.ndarray, top_k: int,
+def gate_forward(weight: np.ndarray, x: np.ndarray, top_k: int,
                  normalized: bool = False) -> GateOutput:
-    """Route one token: softmax scores, Top-K selection, gate weights."""
-    params = BlockParams(
-        gate=gate,
-        experts=RoutedExperts(
-            w_gate=np.zeros((gate.experts, 1, gate.model_dim)),
-            w_up=np.zeros((gate.experts, 1, gate.model_dim)),
-            w_down=np.zeros((gate.experts, gate.model_dim, 1)),
-        ),
-        shared=None, top_k=top_k, normalized=normalized,
-    )
-    x = _as_matrix("x", x)
-    if x.shape != (gate.model_dim,):
-        raise KernelError(f"x must have shape ({gate.model_dim},), got {x.shape}")
-    scores, mask, gate_weights, _ = _batch_gate(gate.weight, x[None, :], top_k, normalized)
+    """Route one token with an (experts, model_dim) gate weight matrix."""
+    weight = _as_matrix("gate weight", weight)
+    if weight.ndim != 2:
+        raise KernelError(f"gate weight must be 2-D, got {weight.ndim}-D")
+    _check_routing(weight.shape[0], top_k, normalized)
+    x = _as_matrix("x", x, (weight.shape[1],))
+    scores, mask, gate_weights, _ = _batch_gate(weight, x[None, :], top_k, normalized)
     selected = tuple(int(i) for i in np.nonzero(mask[0])[0])
     return GateOutput(scores=scores[0], selected=selected,
                       gate_weights=gate_weights[0], normalized=normalized)
@@ -295,7 +321,8 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     n = x.shape[0]
     if n == 0:
         raise KernelError("x must hold at least one token")
-    scores, mask, gate_weights, selected_sum = _batch_gate(params.gate.weight, x, params.top_k,
+    p = params.views
+    scores, mask, gate_weights, selected_sum = _batch_gate(p["gate.weight"], x, params.top_k,
                                                            params.normalized)
     y = np.zeros_like(x)
     per_expert: dict[int, _ExpertCache] = {}
@@ -304,36 +331,24 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
         if idx.size == 0:
             continue
         xi = x[idx]
-        a = xi @ params.experts.w_gate[i].T
-        b = xi @ params.experts.w_up[i].T
+        a = xi @ p["experts.w_gate"][i].T
+        b = xi @ p["experts.w_up"][i].T
         hidden = _silu(a) * b
-        out = hidden @ params.experts.w_down[i].T
+        out = hidden @ p["experts.w_down"][i].T
         y[idx] += gate_weights[idx, i, None] * out
         per_expert[i] = _ExpertCache(token_idx=idx, pre_gate=a, pre_up=b,
                                      hidden=hidden, out=out)
     shared_a = shared_b = shared_h = None
-    if params.shared is not None:
-        shared_a = x @ params.shared.w_gate.T
-        shared_b = x @ params.shared.w_up.T
+    if "shared.w_gate" in p:
+        shared_a = x @ p["shared.w_gate"].T
+        shared_b = x @ p["shared.w_up"].T
         shared_h = _silu(shared_a) * shared_b
-        y += shared_h @ params.shared.w_down.T
+        y += shared_h @ p["shared.w_down"].T
     cache = BlockCache(x=x, scores=scores, mask=mask, gate_weights=gate_weights,
                        selected_sum=selected_sum, per_expert=per_expert,
                        shared_pre_gate=shared_a, shared_pre_up=shared_b,
                        shared_hidden=shared_h)
     return y, cache
-
-
-def gate_outputs_from_cache(cache: BlockCache, normalized: bool) -> list[GateOutput]:
-    return [
-        GateOutput(
-            scores=cache.scores[t],
-            selected=tuple(int(i) for i in np.nonzero(cache.mask[t])[0]),
-            gate_weights=cache.gate_weights[t],
-            normalized=normalized,
-        )
-        for t in range(cache.scores.shape[0])
-    ]
 
 
 def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndarray,
@@ -345,22 +360,20 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
     the balance loss contributes through it.
     """
     upstream = _as_matrix("upstream", upstream, cache.x.shape)
+    p = params.views
     x = cache.x
     d_x = np.zeros_like(x)
-    d_gate_w = np.zeros_like(params.gate.weight)
-    d_eg = np.zeros_like(params.experts.w_gate)
-    d_eu = np.zeros_like(params.experts.w_up)
-    d_ed = np.zeros_like(params.experts.w_down)
-    d_sg = d_su = d_sd = None
+    d_theta = np.zeros(params.layout.size)
+    g = params.layout.views(d_theta)
 
-    if params.shared is not None:
-        dh = upstream @ params.shared.w_down
+    if "shared.w_gate" in p:
+        dh = upstream @ p["shared.w_down"]
         da = dh * cache.shared_pre_up * _silu_grad(cache.shared_pre_gate)
         db = dh * _silu(cache.shared_pre_gate)
-        d_sd = upstream.T @ cache.shared_hidden
-        d_sg = da.T @ x
-        d_su = db.T @ x
-        d_x += da @ params.shared.w_gate + db @ params.shared.w_up
+        g["shared.w_down"][...] = upstream.T @ cache.shared_hidden
+        g["shared.w_gate"][...] = da.T @ x
+        g["shared.w_up"][...] = db.T @ x
+        d_x += da @ p["shared.w_gate"] + db @ p["shared.w_up"]
 
     d_gate_weights = np.zeros_like(cache.gate_weights)
     for i, ec in sorted(cache.per_expert.items()):
@@ -368,13 +381,13 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
         dy_i = upstream[idx]
         d_gate_weights[idx, i] = np.einsum("nd,nd->n", dy_i, ec.out)
         de = cache.gate_weights[idx, i, None] * dy_i
-        d_ed[i] = de.T @ ec.hidden
-        dh = de @ params.experts.w_down[i]
+        g["experts.w_down"][i] = de.T @ ec.hidden
+        dh = de @ p["experts.w_down"][i]
         da = dh * ec.pre_up * _silu_grad(ec.pre_gate)
         db = dh * _silu(ec.pre_gate)
-        d_eg[i] = da.T @ x[idx]
-        d_eu[i] = db.T @ x[idx]
-        d_x[idx] += da @ params.experts.w_gate[i] + db @ params.experts.w_up[i]
+        g["experts.w_gate"][i] = da.T @ x[idx]
+        g["experts.w_up"][i] = db.T @ x[idx]
+        d_x[idx] += da @ p["experts.w_gate"][i] + db @ p["experts.w_up"][i]
 
     if params.normalized:
         # For selected scores, d g_j / d s_i = (delta_ij - g_j) / sum_selected;
@@ -388,21 +401,10 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
 
     dot = (d_scores * cache.scores).sum(axis=1, keepdims=True)
     d_logits = cache.scores * (d_scores - dot)
-    d_gate_w += d_logits.T @ x
-    d_x += d_logits @ params.gate.weight
+    g["gate.weight"] += d_logits.T @ x
+    d_x += d_logits @ p["gate.weight"]
 
-    return BlockGrads(gate_weight=d_gate_w, expert_w_gate=d_eg, expert_w_up=d_eu,
-                      expert_w_down=d_ed, shared_w_gate=d_sg, shared_w_up=d_su,
-                      shared_w_down=d_sd, x=d_x)
-
-
-def moe_block_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, GateOutput]:
-    """Single-token block output and routing result."""
-    x = _as_matrix("x", x)
-    if x.shape != (params.model_dim,):
-        raise KernelError(f"x must have shape ({params.model_dim},), got {x.shape}")
-    y, cache = moe_batch_forward(params, x[None, :])
-    return y[0], gate_outputs_from_cache(cache, params.normalized)[0]
+    return BlockGrads(theta=d_theta, views=g, x=d_x)
 
 
 def selection_margin(cache: BlockCache) -> float:
@@ -414,46 +416,21 @@ def selection_margin(cache: BlockCache) -> float:
     return float((inside - outside).min())
 
 
-def moe_block_backward(params: BlockParams, x: np.ndarray,
-                       upstream: np.ndarray) -> BlockGrads:
-    """Single-token gradients of ``upstream . y`` for all parameters and x."""
-    x = _as_matrix("x", x)
-    upstream = _as_matrix("upstream", upstream, (params.model_dim,))
-    _, cache = moe_batch_forward(params, x[None, :])
-    if selection_margin(cache) <= TIE_EPS:
-        warnings.warn("Top-K selection is within TIE_EPS of a tie; "
-                      "frozen-selection gradients are unreliable here",
-                      TieProximityWarning, stacklevel=2)
-    return moe_batch_backward(params, cache, upstream[None, :])
-
-
-def balance_stats(gate_outputs: Sequence[GateOutput]) -> BalanceStats:
-    """Exact load fractions, mean scores and balance loss for a batch."""
-    if len(gate_outputs) == 0:
+def balance_stats(mask: np.ndarray, scores: np.ndarray) -> BalanceStats:
+    """Exact load fractions, mean scores and balance loss of an (n, experts) routing."""
+    mask, scores = np.asarray(mask, dtype=bool), np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or mask.shape != scores.shape:
+        raise KernelError(f"mask and scores must share an (n, experts) shape, got "
+                          f"{mask.shape} and {scores.shape}")
+    n, experts = scores.shape
+    if n == 0:
         raise KernelError("balance_stats requires a nonempty batch")
-    experts = gate_outputs[0].scores.shape[0]
-    counts = np.zeros(experts, dtype=np.int64)
-    scores = np.zeros((len(gate_outputs), experts))
-    for t, out in enumerate(gate_outputs):
-        if out.scores.shape[0] != experts:
-            raise KernelError("gate outputs disagree on the number of experts")
-        counts[list(out.selected)] += 1
-        scores[t] = out.scores
-    return _balance_from_counts(counts, scores)
-
-
-def _balance_from_counts(counts: np.ndarray, scores: np.ndarray) -> BalanceStats:
-    n = scores.shape[0]
-    experts = scores.shape[1]
+    counts = mask.sum(axis=0).astype(np.int64)
     load = counts / n
     mean_score = scores.mean(axis=0)
     loss = experts * float(np.dot(load, mean_score))
     return BalanceStats(load_fraction=load, mean_score=mean_score, balance_loss=loss,
                         batch_size=n, selection_counts=counts)
-
-
-def balance_stats_from_cache(cache: BlockCache) -> BalanceStats:
-    return _balance_from_counts(cache.mask.sum(axis=0).astype(np.int64), cache.scores)
 
 
 def total_loss(logits: np.ndarray, targets: np.ndarray, balance: BalanceStats,
@@ -486,9 +463,17 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
 
 def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
                           lam: float = 0.0) -> tuple[float, BlockGrads, BalanceStats]:
-    """Scalar probe sum(probe * y) + lam * balance_loss and its exact gradients."""
+    """Scalar probe sum(probe * y) + lam * balance_loss and its exact gradients.
+
+    Warns with ``TieProximityWarning`` when the Top-K selection sits within
+    TIE_EPS of a tie, where frozen-selection gradients are unreliable.
+    """
     y, cache = moe_batch_forward(params, x)
-    stats = balance_stats_from_cache(cache)
+    if selection_margin(cache) <= TIE_EPS:
+        warnings.warn("Top-K selection is within TIE_EPS of a tie; "
+                      "frozen-selection gradients are unreliable here",
+                      TieProximityWarning, stacklevel=2)
+    stats = balance_stats(cache.mask, cache.scores)
     total = float(np.sum(probe * y)) + lam * stats.balance_loss
     extra = None
     if lam != 0.0:
@@ -499,83 +484,20 @@ def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Parameter construction, flattening, checkpoints
+# Parameter construction and checkpoints
 # ---------------------------------------------------------------------------
 
 def init_block_params(rng: np.random.Generator, experts: int, top_k: int,
                       model_dim: int, expert_dim: int, shared_dim: int = 0,
                       normalized: bool = False, scale: float = 1.0) -> BlockParams:
-    """Random block parameters with 1/sqrt(fan_in) initialization."""
-    def mat(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, scale / math.sqrt(cols), size=(rows, cols))
+    """Random block parameters with 1/sqrt(fan_in) initialization.
 
-    gate = GateParams(weight=mat(experts, model_dim))
-    routed = RoutedExperts(
-        w_gate=np.stack([mat(expert_dim, model_dim) for _ in range(experts)]),
-        w_up=np.stack([mat(expert_dim, model_dim) for _ in range(experts)]),
-        w_down=np.stack([mat(model_dim, expert_dim) for _ in range(experts)]),
-    )
-    shared = None
-    if shared_dim > 0:
-        shared = SharedExpert(w_gate=mat(shared_dim, model_dim),
-                              w_up=mat(shared_dim, model_dim),
-                              w_down=mat(model_dim, shared_dim))
-    return BlockParams(gate=gate, experts=routed, shared=shared,
-                       top_k=top_k, normalized=normalized)
-
-
-def named_parameters(params: BlockParams) -> list[tuple[str, np.ndarray]]:
-    """Deterministically ordered (name, array) view of all block parameters."""
-    out = [
-        ("gate.weight", params.gate.weight),
-        ("experts.w_gate", params.experts.w_gate),
-        ("experts.w_up", params.experts.w_up),
-        ("experts.w_down", params.experts.w_down),
-    ]
-    if params.shared is not None:
-        out += [
-            ("shared.w_gate", params.shared.w_gate),
-            ("shared.w_up", params.shared.w_up),
-            ("shared.w_down", params.shared.w_down),
-        ]
-    return out
-
-
-def named_gradients(params: BlockParams, grads: BlockGrads) -> list[tuple[str, np.ndarray]]:
-    out = [
-        ("gate.weight", grads.gate_weight),
-        ("experts.w_gate", grads.expert_w_gate),
-        ("experts.w_up", grads.expert_w_up),
-        ("experts.w_down", grads.expert_w_down),
-    ]
-    if params.shared is not None:
-        out += [
-            ("shared.w_gate", grads.shared_w_gate),
-            ("shared.w_up", grads.shared_w_up),
-            ("shared.w_down", grads.shared_w_down),
-        ]
-    return out
-
-
-def replace_parameter(params: BlockParams, name: str, array: np.ndarray) -> BlockParams:
-    """Copy of the block with one named parameter array swapped out."""
-    gate, experts, shared = params.gate, params.experts, params.shared
-    if name == "gate.weight":
-        gate = GateParams(weight=array)
-    elif name.startswith("experts."):
-        kwargs = {"w_gate": experts.w_gate, "w_up": experts.w_up, "w_down": experts.w_down}
-        kwargs[name.split(".", 1)[1]] = array
-        experts = RoutedExperts(**kwargs)
-    elif name.startswith("shared."):
-        if shared is None:
-            raise KernelError("block has no shared expert")
-        kwargs = {"w_gate": shared.w_gate, "w_up": shared.w_up, "w_down": shared.w_down}
-        kwargs[name.split(".", 1)[1]] = array
-        shared = SharedExpert(**kwargs)
-    else:
-        raise KernelError(f"unknown parameter name {name!r}")
-    return BlockParams(gate=gate, experts=experts, shared=shared,
-                       top_k=params.top_k, normalized=params.normalized)
+    Draws one normal matrix per (rows, cols) slice in layout order; a stacked
+    (experts, rows, cols) draw is the same stream as one draw per expert.
+    """
+    arrays = {name: rng.normal(0.0, scale / math.sqrt(shape[-1]), size=shape)
+              for name, shape in _block_shapes(experts, model_dim, expert_dim, shared_dim)}
+    return BlockParams.from_arrays(arrays, top_k, normalized)
 
 
 def save_checkpoint(params: BlockParams, path: str | Path, seed: int | None = None) -> None:
@@ -586,7 +508,7 @@ def save_checkpoint(params: BlockParams, path: str | Path, seed: int | None = No
         "normalized": params.normalized,
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in named_parameters(params)
+            for name, arr in params.views.items()
         },
     }
     Path(path).write_text(json.dumps(manifest, sort_keys=True))
@@ -598,17 +520,8 @@ def load_checkpoint(path: str | Path) -> tuple[BlockParams, int | None]:
         name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in manifest["params"].items()
     }
-    shared = None
-    if "shared.w_gate" in arrays:
-        shared = SharedExpert(w_gate=arrays["shared.w_gate"], w_up=arrays["shared.w_up"],
-                              w_down=arrays["shared.w_down"])
-    params = BlockParams(
-        gate=GateParams(weight=arrays["gate.weight"]),
-        experts=RoutedExperts(w_gate=arrays["experts.w_gate"], w_up=arrays["experts.w_up"],
-                              w_down=arrays["experts.w_down"]),
-        shared=shared, top_k=int(manifest["top_k"]),
-        normalized=bool(manifest["normalized"]),
-    )
+    params = BlockParams.from_arrays(arrays, int(manifest["top_k"]),
+                                     bool(manifest["normalized"]))
     return params, manifest.get("seed")
 
 
@@ -692,23 +605,22 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
                                                               np.abs(numeric)), 1e-3)
 
 
-# Perturbed copies per stacked forward: scratch memory grows as _FD_CHUNK * P
-# instead of 2P * P for P checked entries.
-_FD_CHUNK = 128
+# Float64 entries per stacked forward: a chunk holds max(1, _FD_ENTRIES // P)
+# perturbed copies of the P checked entries, so scratch memory stays near
+# 8 * _FD_ENTRIES bytes unless one copy alone is larger.
+_FD_ENTRIES = 2**15
 
 
-def _stacked_totals(thetas: np.ndarray, layout: Sequence[tuple[str, int, tuple[int, ...]]],
-                    probe: np.ndarray, lam: float, top_k: int, normalized: bool) -> np.ndarray:
+def _stacked_totals(thetas: np.ndarray, layout: Layout, probe: np.ndarray, lam: float,
+                    top_k: int, normalized: bool) -> np.ndarray:
     """sum(probe * y) + lam * balance_loss for every row of ``thetas``, forward only.
 
-    Each row holds the block parameters and the input x, flattened in
-    ``layout`` order. Every copy is routed from its own scores; the routed
-    experts run densely, masked by their zero gate weights, and are mixed in
-    ascending expert order like ``moe_batch_forward``.
+    Each row holds the block parameters and the input x, flat in ``layout``.
+    Every copy is routed from its own scores; the routed experts run densely,
+    masked by their zero gate weights, and are mixed in ascending expert order
+    like ``moe_batch_forward``.
     """
-    c = thetas.shape[0]
-    p = {name: thetas[:, off:off + math.prod(shape)].reshape(c, *shape)
-         for name, off, shape in layout}
+    p = layout.views(thetas)
     x = p["x"]
     scores, mask, gate_weights, _ = _batch_gate(p["gate.weight"], x, top_k, normalized)
     xe = x[:, None]
@@ -733,9 +645,9 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     Each trial draws fresh parameters, inputs and probe weights, skipping
     draws routed within ``tie_margin`` of a Top-K tie so that the frozen
     selected set is locally constant. Every parameter entry and every input
-    entry is perturbed: the parameters and x are flattened into one vector
-    theta, and the 2P copies theta +- h e_j are evaluated forward only, in
-    stacked chunks of ``_FD_CHUNK`` copies, each routed from its own scores.
+    entry is perturbed: theta is the block's flat parameters followed by x,
+    and the 2P copies theta +- h e_j are evaluated forward only, in stacked
+    chunks of at most ``_FD_ENTRIES`` entries, each routed from its own scores.
     """
     rng = np.random.default_rng(settings.seed)
     trials: list[GradCheckTrial] = []
@@ -743,17 +655,15 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     for trial in range(settings.trials):
         params, x, probe = _draw_non_tie_configuration(rng, settings)
         _, grads, _ = probe_total_and_grads(params, x, probe, settings.lam)
-        named = named_parameters(params) + [("x", x)]
-        offsets = np.cumsum([0] + [arr.size for _, arr in named])
-        layout = [(name, int(off), arr.shape) for (name, arr), off in zip(named, offsets)]
-        theta = np.concatenate([arr.ravel() for _, arr in named])
-        analytic = np.concatenate([g.ravel() for _, g in named_gradients(params, grads)]
-                                  + [grads.x.ravel()])
+        layout = Layout(params.layout.entries + (("x", params.layout.size, x.shape),))
+        theta = np.concatenate([params.theta, x.ravel()])
+        analytic = np.concatenate([grads.theta, grads.x.ravel()])
         h = settings.step * np.maximum(1.0, np.abs(theta))
         bumped = np.concatenate([theta + h, theta - h])
         totals = np.empty_like(bumped)
-        for start in range(0, bumped.size, _FD_CHUNK):
-            rows = np.arange(start, min(start + _FD_CHUNK, bumped.size))
+        chunk = max(1, _FD_ENTRIES // theta.size)
+        for start in range(0, bumped.size, chunk):
+            rows = np.arange(start, min(start + chunk, bumped.size))
             copies = np.tile(theta, (rows.size, 1))
             copies[np.arange(rows.size), rows % theta.size] = bumped[rows]
             totals[rows] = _stacked_totals(copies, layout, probe, settings.lam,
@@ -761,12 +671,8 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
         errors = _rel_error(analytic, (totals[:theta.size] - totals[theta.size:]) / (2 * h))
         checked += theta.size
         k = int(np.argmax(errors))  # the first entry with the largest error
-        worst_name = ""
-        if errors[k] > 0.0:
-            name, off, _ = layout[int(np.searchsorted(offsets, k, side="right")) - 1]
-            worst_name = f"{name}[{k - off}]"
         trials.append(GradCheckTrial(trial=trial, max_rel_error=float(errors[k]),
-                                     worst_parameter=worst_name))
+                                     worst_parameter=layout.label(k) if errors[k] > 0.0 else ""))
     return GradCheckReport(settings=settings, trials=tuple(trials), checked_entries=checked)
 
 

@@ -24,11 +24,10 @@ from .arch import (
     derive_budget,
     layer_split,
 )
-from .fixtures import validate_fixture_tables  # re-exported: fixture replay lives here
 
 __all__ = [
     "SearchSpec", "ConfigCandidate", "SearchResult", "SearchSpecError",
-    "InfeasibleSpecError", "search", "dense_baseline", "validate_fixture_tables",
+    "InfeasibleSpecError", "search", "dense_baseline",
 ]
 
 
@@ -149,7 +148,6 @@ def search(spec: SearchSpec) -> SearchResult:
     target_n = spec.target_params
     target_ra = spec.target_activation_rate
     mu = spec.expert_width_ratio
-    alpha_term_cache: dict[int, float] = {}
     skip_counts: dict[str, int] = {}
     scored: list[tuple[tuple, ConfigCandidate]] = []
 
@@ -157,7 +155,7 @@ def search(spec: SearchSpec) -> SearchResult:
         skip_counts[reason] = skip_counts.get(reason, 0) + 1
 
     for layers, model_dim, ffn_dim, moe_layers, dense_layers in _layer_grid(spec):
-        alpha_term = alpha_term_cache.setdefault(model_dim, 4 + 3 * ffn_dim / model_dim)
+        alpha_term = 4 + 3 * ffn_dim / model_dim
         total_units = (4 + 3 * mu) * moe_layers + alpha_term * dense_layers
         # Invert r_a for the active width, exactly accounting for dense layers.
         active_units = target_ra * total_units - alpha_term * dense_layers

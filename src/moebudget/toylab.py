@@ -7,6 +7,11 @@ with residual connections), and a linear read-out head. Training is plain
 momentum SGD with a manual backward pass through the whole stack; given a
 seed, runs are bit-deterministic.
 
+All model parameters live in one flat float64 vector with a static layout of
+``embed``, ``mix``, ``block`` and ``head``; the MoE block's ``BlockParams`` is
+a view of its slice, and the optimizer updates the whole vector in place with
+one velocity vector of the same layout.
+
 Reported loss is mean next-token cross-entropy in nats; the summary also
 converts it to bits/token (ce / ln 2). That unit is a stand-in for corpus
 bits-per-character metrics and is labeled distinctly.
@@ -26,13 +31,11 @@ import numpy as np
 from .kernel import (
     BlockParams,
     KernelError,
-    balance_stats_from_cache,
+    Layout,
+    balance_stats,
     init_block_params,
     moe_batch_backward,
     moe_batch_forward,
-    named_gradients,
-    named_parameters,
-    replace_parameter,
     softmax_cross_entropy,
 )
 
@@ -99,10 +102,21 @@ class ToyTrainConfig:
     init_scale: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ToyConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lam < 0:
-            raise ToyConfigError(f"lam must be >= 0, got {self.lam}")
+        for name, ok, rule in (
+                ("steps", self.steps >= 0, ">= 0"),
+                ("lam", self.lam >= 0, ">= 0"),
+                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("momentum", math.isfinite(self.momentum) and self.momentum >= 0,
+                 "finite and >= 0"),
+                ("init_scale", math.isfinite(self.init_scale) and self.init_scale > 0,
+                 "finite and > 0"),
+                ("batch_sequences", self.batch_sequences >= 1, ">= 1"),
+                ("model_dim", self.model_dim >= 1, ">= 1"),
+                ("expert_dim", self.expert_dim >= 1, ">= 1"),
+                ("experts", self.experts >= 1, ">= 1"),
+                ("shared_dim", self.shared_dim >= 0, ">= 0")):
+            if not ok:
+                raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not 1 <= self.top_k <= self.experts:
             raise ToyConfigError("need 1 <= top_k <= experts")
         if self.normalized and self.top_k < 2:
@@ -173,60 +187,58 @@ class TrainReport:
             json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ToyModel:
-    embed: np.ndarray    # (vocab, model_dim)
-    mix: np.ndarray      # (model_dim, model_dim)
-    block: BlockParams
-    head: np.ndarray     # (vocab, model_dim)
-
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return ([("embed", self.embed), ("mix", self.mix)]
-                + [(f"block.{n}", a) for n, a in named_parameters(self.block)]
-                + [("head", self.head)])
+    theta: np.ndarray             # embed, mix, block and head, flat in layout
+    layout: Layout
+    views: dict[str, np.ndarray]  # named views into theta
+    block: BlockParams            # a view of theta's "block" slice
 
 
 def _init_model(config: ToyTrainConfig, rng: np.random.Generator) -> _ToyModel:
     scale = config.init_scale
-    return _ToyModel(
-        embed=rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim)),
-        mix=rng.normal(0.0, scale, size=(config.model_dim, config.model_dim)),
-        block=init_block_params(rng, config.experts, config.top_k, config.model_dim,
-                                config.expert_dim, config.shared_dim,
-                                config.normalized, scale=1.0),
-        head=rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim)),
-    )
+    embed = rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim))
+    mix = rng.normal(0.0, scale, size=(config.model_dim, config.model_dim))
+    block = init_block_params(rng, config.experts, config.top_k, config.model_dim,
+                              config.expert_dim, config.shared_dim,
+                              config.normalized, scale=1.0)
+    head = rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim))
+    layout = Layout.of([("embed", embed.shape), ("mix", mix.shape),
+                        ("block", block.theta.shape), ("head", head.shape)])
+    theta = np.concatenate([embed.ravel(), mix.ravel(), block.theta, head.ravel()])
+    views = layout.views(theta)
+    return _ToyModel(theta=theta, layout=layout, views=views,
+                     block=BlockParams(views["block"], block.layout, block.top_k,
+                                       block.normalized))
 
 
 def _forward_backward(model: _ToyModel, inputs: np.ndarray, targets: np.ndarray,
-                      lam: float) -> tuple[float, float, np.ndarray,
-                                           dict[str, np.ndarray]]:
-    """One pass over flattened (input, next-token) pairs; returns losses,
-    the routed-load histogram, and gradients for every model parameter."""
+                      lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """One pass over flattened (input, next-token) pairs; returns losses, the
+    routed-load histogram, and the gradient of theta in the model layout."""
     n = inputs.shape[0]
-    h = model.embed[inputs]
-    m = h + h @ model.mix.T
+    p = model.views
+    h = p["embed"][inputs]
+    m = h + h @ p["mix"].T
     y, cache = moe_batch_forward(model.block, m)
     z = m + y
-    logits = z @ model.head.T
+    logits = z @ p["head"].T
     ce, d_logits = softmax_cross_entropy(logits, targets)
-    stats = balance_stats_from_cache(cache)
+    stats = balance_stats(cache.mask, cache.scores)
 
-    d_head = d_logits.T @ z
-    dz = d_logits @ model.head
+    grad = np.zeros_like(model.theta)
+    g = model.layout.views(grad)
+    g["head"][...] = d_logits.T @ z
+    dz = d_logits @ p["head"]
     extra = lam * model.block.expert_count * stats.load_fraction / n if lam else None
     block_grads = moe_batch_backward(model.block, cache, dz, extra_score_grad=extra)
+    g["block"][...] = block_grads.theta
     dm = dz + block_grads.x
-    d_mix = dm.T @ h
-    dh = dm + dm @ model.mix
-    d_embed = np.zeros_like(model.embed)
-    np.add.at(d_embed, inputs, dh)
-
-    grads = {"embed": d_embed, "mix": d_mix, "head": d_head}
-    for name, grad in named_gradients(model.block, block_grads):
-        grads[f"block.{name}"] = grad
+    g["mix"][...] = dm.T @ h
+    dh = dm + dm @ p["mix"]
+    np.add.at(g["embed"], inputs, dh)
     histogram = cache.mask.sum(axis=0)
-    return ce, stats.balance_loss, histogram, grads
+    return ce, stats.balance_loss, histogram, grad
 
 
 def _load_cv(histogram: np.ndarray) -> float:
@@ -247,7 +259,7 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     rng = np.random.default_rng(config.seed)
     distributions = config.task.cluster_distributions()
     model = _init_model(config, rng)
-    velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    theta, velocity = model.theta, np.zeros_like(model.theta)
     records: list[StepRecord] = []
 
     def sample() -> tuple[np.ndarray, np.ndarray]:
@@ -263,24 +275,15 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     for step in range(1, config.steps + 1):
         inputs, targets = sample()
         try:
-            ce, bal, hist, grads = _forward_backward(model, inputs, targets,
-                                                     config.lam)
+            ce, bal, hist, grad = _forward_backward(model, inputs, targets,
+                                                    config.lam)
         except KernelError as exc:  # exploded weights surface as non-finite inputs
             raise DivergenceError(step) from exc
         if not (math.isfinite(ce) and math.isfinite(bal)):
             raise DivergenceError(step)
-        new_block = model.block
-        for name, arr in model.parameters():
-            v = velocity[name]
-            v *= config.momentum
-            v += grads[name]
-            if name.startswith("block."):
-                updated = dict(named_parameters(new_block))[name.split(".", 1)[1]] \
-                    - config.lr * v
-                new_block = replace_parameter(new_block, name.split(".", 1)[1], updated)
-            else:
-                arr -= config.lr * v
-        model.block = new_block
+        velocity *= config.momentum
+        velocity += grad
+        theta -= config.lr * velocity
         records.append(StepRecord(step=step, ce_loss=ce, balance_loss=bal,
                                   expert_load_histogram=tuple(int(c) for c in hist),
                                   load_cv=_load_cv(hist)))

@@ -89,6 +89,19 @@ class TestExitCodes:
         assert flag.lstrip("-") in result.diagnostics
         assert "\n" not in result.diagnostics
 
+    @pytest.mark.parametrize("field,value", [
+        ("model_dim", 0), ("expert_dim", 0), ("lr", "nan"), ("momentum", "inf"),
+        ("batch_sequences", 0),
+    ])
+    def test_invalid_toy_config(self, tmp_path, field, value):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({field: value, "steps": 1}))
+        result = dispatch(["train-toy", "--config", str(config)])
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics.startswith(f"{field} must be")
+        assert "\n" not in result.diagnostics
+
 
 class TestPayloads:
     def test_plan_moe_budget(self, moe_shape_file):

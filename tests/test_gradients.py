@@ -6,19 +6,15 @@ import pytest
 from moebudget import kernel
 from moebudget.kernel import (
     BlockParams,
-    GateParams,
     GradCheckSettings,
-    RoutedExperts,
-    SharedExpert,
+    Layout,
     TieProximityWarning,
     _stacked_totals,
-    balance_stats_from_cache,
+    balance_stats,
     grad_check,
     init_block_params,
     moe_batch_backward,
     moe_batch_forward,
-    moe_block_backward,
-    named_parameters,
     probe_total_and_grads,
 )
 
@@ -48,9 +44,9 @@ def test_normalized_single_selection_has_zero_gate_gradient():
     y, cache = moe_batch_forward(params, x)
     assert np.allclose(cache.gate_weights.sum(axis=1), 1.0, atol=0)
     grads = moe_batch_backward(params, cache, upstream)
-    assert np.all(grads.gate_weight == 0.0)
+    assert np.all(grads.views["gate.weight"] == 0.0)
     # expert and shared paths still carry gradient
-    assert np.any(grads.expert_w_down != 0.0)
+    assert np.any(grads.views["experts.w_down"] != 0.0)
 
 
 def test_zero_lambda_matches_probe_only_gradients():
@@ -62,8 +58,8 @@ def test_zero_lambda_matches_probe_only_gradients():
     _, with_lam0, _ = probe_total_and_grads(params, x, probe, lam=0.0)
     _, cache = moe_batch_forward(params, x)
     plain = moe_batch_backward(params, cache, probe)
-    assert np.array_equal(with_lam0.gate_weight, plain.gate_weight)
-    assert np.array_equal(with_lam0.expert_w_gate, plain.expert_w_gate)
+    assert np.array_equal(with_lam0.views["gate.weight"], plain.views["gate.weight"])
+    assert np.array_equal(with_lam0.views["experts.w_gate"], plain.views["experts.w_gate"])
     assert np.array_equal(with_lam0.x, plain.x)
 
 
@@ -74,18 +70,17 @@ def test_balance_term_only_moves_gate_gradients():
     probe = rng.normal(size=(4, 4))
     _, g0, _ = probe_total_and_grads(params, x, probe, lam=0.0)
     _, g1, _ = probe_total_and_grads(params, x, probe, lam=0.5)
-    assert not np.array_equal(g0.gate_weight, g1.gate_weight)
-    assert np.array_equal(g0.expert_w_down, g1.expert_w_down)
+    assert not np.array_equal(g0.views["gate.weight"], g1.views["gate.weight"])
+    assert np.array_equal(g0.views["experts.w_down"], g1.views["experts.w_down"])
 
 
 def test_tie_proximity_warns():
     rng = np.random.default_rng(3)
     params = init_block_params(rng, experts=4, top_k=2, model_dim=5, expert_dim=3)
-    zero_gate = type(params.gate)(weight=np.zeros_like(params.gate.weight))
-    tied = type(params)(gate=zero_gate, experts=params.experts, shared=None,
-                        top_k=2)
+    tied = BlockParams.from_arrays(
+        {**params.views, "gate.weight": np.zeros_like(params.views["gate.weight"])}, top_k=2)
     with pytest.warns(TieProximityWarning):
-        moe_block_backward(tied, rng.normal(size=5), rng.normal(size=5))
+        probe_total_and_grads(tied, rng.normal(size=5)[None, :], rng.normal(size=5)[None, :])
 
 
 def test_single_token_backward_matches_batch_of_one():
@@ -94,40 +89,29 @@ def test_single_token_backward_matches_batch_of_one():
                                shared_dim=2)
     x = rng.normal(size=5)
     upstream = rng.normal(size=5)
-    single = moe_block_backward(params, x, upstream)
+    _, single, _ = probe_total_and_grads(params, x[None, :], upstream[None, :])
     _, cache = moe_batch_forward(params, x[None, :])
     batch = moe_batch_backward(params, cache, upstream[None, :])
-    assert np.array_equal(single.gate_weight, batch.gate_weight)
+    assert np.array_equal(single.views["gate.weight"], batch.views["gate.weight"])
     assert np.array_equal(single.x, batch.x)
 
 
 # -- the stacked forward-only oracle ----------------------------------------
 
 def flatten(params, x):
-    """(name, offset, shape) layout and flat theta in grad_check's order."""
-    layout, chunks, offset = [], [], 0
-    for name, arr in named_parameters(params) + [("x", x)]:
-        layout.append((name, offset, arr.shape))
-        chunks.append(arr.ravel())
-        offset += arr.size
-    return layout, np.concatenate(chunks)
+    """Layout and flat theta in grad_check's order: the block theta, then x."""
+    layout = Layout(params.layout.entries + (("x", params.layout.size, x.shape),))
+    return layout, np.concatenate([params.theta, x.ravel()])
 
 
 def scalar_total(row, layout, probe, lam, top_k, normalized):
     """The total of one flat copy through moe_batch_forward and the balance stats."""
-    arr = {name: row[off:off + int(np.prod(shape))].reshape(shape)
-           for name, off, shape in layout}
-    shared = None
-    if "shared.w_gate" in arr:
-        shared = SharedExpert(w_gate=arr["shared.w_gate"], w_up=arr["shared.w_up"],
-                              w_down=arr["shared.w_down"])
-    params = BlockParams(
-        gate=GateParams(weight=arr["gate.weight"]),
-        experts=RoutedExperts(w_gate=arr["experts.w_gate"], w_up=arr["experts.w_up"],
-                              w_down=arr["experts.w_down"]),
-        shared=shared, top_k=top_k, normalized=normalized)
-    y, cache = moe_batch_forward(params, arr["x"])
-    return float(np.sum(probe * y)) + lam * balance_stats_from_cache(cache).balance_loss, cache
+    arr = layout.views(row)
+    x = arr.pop("x")
+    params = BlockParams.from_arrays(arr, top_k, normalized)
+    y, cache = moe_batch_forward(params, x)
+    balance = balance_stats(cache.mask, cache.scores).balance_loss
+    return float(np.sum(probe * y)) + lam * balance, cache
 
 
 def assert_close(stacked, scalar):
@@ -173,8 +157,7 @@ def test_stacked_totals_reroute_perturbed_copies():
     x = np.array([[1.0, 0.5, -0.3]])
     weight = np.array([[2.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5 - 1e-7, 0.0, 0.0],
                        [-1.0, 0.0, 0.0]])
-    params = BlockParams(gate=GateParams(weight=weight), experts=params.experts,
-                         shared=params.shared, top_k=2)
+    params = BlockParams.from_arrays({**params.views, "gate.weight": weight}, top_k=2)
     probe = rng.normal(size=x.shape)
     layout, theta = flatten(params, x)
     j = 2 * 3  # gate.weight[2, 0]
@@ -192,10 +175,30 @@ def test_stacked_totals_reroute_perturbed_copies():
     assert masks[1] == [True, False, True, False]
 
 
+CHUNK_SETTINGS = GradCheckSettings(experts=4, top_k=2, model_dim=5, expert_dim=3,
+                                   shared_dim=4, normalized=True, seed=21, trials=2)
+CHUNK_ENTRIES = 270  # checked entries per trial of CHUNK_SETTINGS: 260 parameters, 10 of x
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_grad_check_report_is_chunk_invariant(monkeypatch, chunk):
-    settings = GradCheckSettings(experts=4, top_k=2, model_dim=5, expert_dim=3,
-                                 shared_dim=4, normalized=True, seed=21, trials=2)
-    default = grad_check(settings)
-    monkeypatch.setattr(kernel, "_FD_CHUNK", chunk)
-    assert grad_check(settings) == default
+    default = grad_check(CHUNK_SETTINGS)
+    assert default.checked_entries == 2 * CHUNK_ENTRIES
+    monkeypatch.setattr(kernel, "_FD_ENTRIES", chunk * CHUNK_ENTRIES)
+    assert grad_check(CHUNK_SETTINGS) == default
+
+
+@pytest.mark.parametrize("budget", [kernel._FD_ENTRIES, 100])
+def test_stacked_chunks_stay_within_entry_budget(monkeypatch, budget):
+    seen = []
+
+    def recording(thetas, *args):
+        seen.append(thetas.shape)
+        return _stacked_totals(thetas, *args)
+
+    monkeypatch.setattr(kernel, "_stacked_totals", recording)
+    monkeypatch.setattr(kernel, "_FD_ENTRIES", budget)
+    grad_check(CHUNK_SETTINGS)
+    assert seen[0] == (max(1, budget // CHUNK_ENTRIES), CHUNK_ENTRIES)
+    assert sum(rows for rows, _ in seen) == 2 * 2 * CHUNK_ENTRIES  # two trials of 2P copies
+    assert max(rows * cols for rows, cols in seen) <= max(CHUNK_ENTRIES, budget)

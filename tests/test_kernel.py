@@ -1,5 +1,6 @@
 """Gating, block forward, balance statistics, losses, and checkpointing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,16 +10,13 @@ from hypothesis import strategies as st
 
 from moebudget.kernel import (
     BlockParams,
-    GateParams,
     KernelError,
     _sigmoid,
     balance_stats,
     gate_forward,
-    gate_outputs_from_cache,
     init_block_params,
     load_checkpoint,
     moe_batch_forward,
-    moe_block_forward,
     save_checkpoint,
     softmax_cross_entropy,
     total_loss,
@@ -26,8 +24,16 @@ from moebudget.kernel import (
 
 
 def logits_gate(values):
-    """Gate whose logits for x=[1.0] are exactly `values`."""
-    return GateParams(weight=np.asarray(values, dtype=float).reshape(-1, 1))
+    """Gate weight matrix whose logits for x=[1.0] are exactly `values`."""
+    return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
+def routing(outs):
+    """Stacked (mask, scores) of single-token gate outputs, for balance_stats."""
+    mask = np.zeros((len(outs), outs[0].scores.size), dtype=bool)
+    for t, out in enumerate(outs):
+        mask[t, list(out.selected)] = True
+    return mask, np.stack([out.scores for out in outs])
 
 
 def reference_softmax(values):
@@ -78,13 +84,21 @@ def dense_masked_oracle(params: BlockParams, x: np.ndarray) -> np.ndarray:
 
     _, cache = moe_batch_forward(params, x)
     y = np.zeros_like(x)
+    p = params.views
     for i in range(params.expert_count):
-        hidden = silu(x @ params.experts.w_gate[i].T) * (x @ params.experts.w_up[i].T)
-        y += cache.gate_weights[:, i, None] * (hidden @ params.experts.w_down[i].T)
-    if params.shared is not None:
-        hidden = silu(x @ params.shared.w_gate.T) * (x @ params.shared.w_up.T)
-        y += hidden @ params.shared.w_down.T
+        hidden = silu(x @ p["experts.w_gate"][i].T) * (x @ p["experts.w_up"][i].T)
+        y += cache.gate_weights[:, i, None] * (hidden @ p["experts.w_down"][i].T)
+    if "shared.w_gate" in p:
+        hidden = silu(x @ p["shared.w_gate"].T) * (x @ p["shared.w_up"].T)
+        y += hidden @ p["shared.w_down"].T
     return y
+
+
+def with_arrays(params, changes):
+    """The block rebuilt with named arrays swapped in, or dropped where None."""
+    named = {**params.views, **changes}
+    return BlockParams.from_arrays({n: a for n, a in named.items() if a is not None},
+                                   params.top_k, params.normalized)
 
 
 class TestBlockForward:
@@ -92,23 +106,17 @@ class TestBlockForward:
         rng = np.random.default_rng(0)
         params = init_block_params(rng, experts=4, top_k=2, model_dim=3,
                                    expert_dim=2, shared_dim=2)
-        zeroed = BlockParams(
-            gate=params.gate,
-            experts=type(params.experts)(
-                w_gate=np.zeros_like(params.experts.w_gate),
-                w_up=np.zeros_like(params.experts.w_up),
-                w_down=np.zeros_like(params.experts.w_down)),
-            shared=params.shared, top_k=2)
+        zeroed = with_arrays(params, {name: np.zeros_like(params.views[name])
+                                      for name in ("experts.w_gate", "experts.w_up",
+                                                   "experts.w_down")})
         x = rng.normal(size=3)
-        y, _ = moe_block_forward(zeroed, x)
-        shared_only = dense_masked_oracle(
-            BlockParams(gate=zeroed.gate, experts=zeroed.experts,
-                        shared=params.shared, top_k=2), x[None, :])[0]
+        y = moe_batch_forward(zeroed, x[None, :])[0][0]
+        shared_only = dense_masked_oracle(zeroed, x[None, :])[0]
         assert np.allclose(y, shared_only, rtol=1e-12, atol=1e-15)
 
-        no_shared = BlockParams(gate=zeroed.gate, experts=zeroed.experts,
-                                shared=None, top_k=2)
-        y2, _ = moe_block_forward(no_shared, x)
+        no_shared = with_arrays(zeroed, dict.fromkeys(
+            ("shared.w_gate", "shared.w_up", "shared.w_down")))
+        y2 = moe_batch_forward(no_shared, x[None, :])[0][0]
         assert np.all(y2 == 0.0)
 
     def test_logit_shift_leaves_output_bit_identical(self):
@@ -121,14 +129,12 @@ class TestBlockForward:
         x = np.array([1.0, 0.25, -0.5, 2.0])
         shifted = gate_w.copy()
         shifted[:, 0] += 5.0
-        base_params = BlockParams(gate=GateParams(gate_w), experts=params.experts,
-                                  shared=params.shared, top_k=2)
-        shift_params = BlockParams(gate=GateParams(shifted), experts=params.experts,
-                                   shared=params.shared, top_k=2)
+        base_params = with_arrays(params, {"gate.weight": gate_w})
+        shift_params = with_arrays(params, {"gate.weight": shifted})
         # x[1:] are zero contributors to the logits only if gate rows are zero there
-        y0, g0 = moe_block_forward(base_params, np.array([1.0, 0.0, 0.0, 0.0]))
-        y1, g1 = moe_block_forward(shift_params, np.array([1.0, 0.0, 0.0, 0.0]))
-        assert g0.selected == g1.selected
+        y0, g0 = moe_batch_forward(base_params, np.array([[1.0, 0.0, 0.0, 0.0]]))
+        y1, g1 = moe_batch_forward(shift_params, np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert np.array_equal(g0.mask, g1.mask)
         assert np.array_equal(g0.scores, g1.scores)
         assert np.array_equal(y0, y1)
         del x
@@ -156,7 +162,7 @@ class TestBlockForward:
         params = init_block_params(rng, experts=4, top_k=2, model_dim=3,
                                    expert_dim=2)
         with pytest.raises(KernelError, match="shape"):
-            moe_block_forward(params, np.zeros(5))
+            moe_batch_forward(params, np.zeros((1, 5)))
 
 
 class TestSelectionInvariance:
@@ -178,14 +184,10 @@ class TestBalanceStats:
         outs = [gate_forward(logits_gate([0.0] * 8), np.array([1.0]), top_k=2)
                 for _ in range(8)]
         # rotate the selected pair so every expert carries the same load
-        rotated = []
-        for t, out in enumerate(outs):
-            sel = (2 * t % 8, (2 * t + 1) % 8)
-            weights = np.zeros(8)
-            weights[list(sel)] = out.scores[list(sel)]
-            rotated.append(type(out)(scores=out.scores, selected=sel,
-                                     gate_weights=weights, normalized=False))
-        stats = balance_stats(rotated)
+        mask = np.zeros((8, 8), dtype=bool)
+        for t in range(8):
+            mask[t, [2 * t % 8, (2 * t + 1) % 8]] = True
+        stats = balance_stats(mask, np.stack([out.scores for out in outs]))
         assert stats.balance_loss == 2.0
         assert stats.load_fraction_total == 2.0
 
@@ -194,7 +196,7 @@ class TestBalanceStats:
         b = gate_forward(logits_gate([math.log(1.5), 0.0]), np.array([1.0]), top_k=1)
         assert np.allclose(a.scores, [0.9, 0.1])
         assert np.allclose(b.scores, [0.6, 0.4])
-        stats = balance_stats([a, b])
+        stats = balance_stats(*routing([a, b]))
         assert np.allclose(stats.load_fraction, [1.0, 0.0])
         assert np.allclose(stats.mean_score, [0.75, 0.25])
         assert math.isclose(stats.balance_loss, 1.5, rel_tol=1e-12)
@@ -205,16 +207,16 @@ class TestBalanceStats:
                                    expert_dim=2)
         x = rng.normal(size=(5, 4))
         _, cache = moe_batch_forward(params, x)
-        outs = gate_outputs_from_cache(cache, normalized=False)
-        once = balance_stats(outs)
-        twice = balance_stats(outs + outs)
+        once = balance_stats(cache.mask, cache.scores)
+        twice = balance_stats(np.concatenate([cache.mask] * 2),
+                              np.concatenate([cache.scores] * 2))
         assert np.array_equal(once.load_fraction, twice.load_fraction)
         assert np.allclose(once.mean_score, twice.mean_score, rtol=0, atol=1e-15)
         assert math.isclose(once.balance_loss, twice.balance_loss, rel_tol=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(KernelError, match="nonempty"):
-            balance_stats([])
+            balance_stats(np.zeros((0, 2), dtype=bool), np.zeros((0, 2)))
 
 
 def test_branch_free_sigmoid_matches_sign_branched_form():
@@ -234,16 +236,16 @@ class TestLosses:
     def test_zero_lambda(self):
         logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 3.0]])
         targets = np.array([1, 2])
-        stats = balance_stats([gate_forward(logits_gate([0.0, 1.0]),
-                                            np.array([1.0]), top_k=1)])
+        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
+                                                     np.array([1.0]), top_k=1)]))
         bundle = total_loss(logits, targets, stats, lam=0.0)
         assert bundle.total == bundle.ce_loss
 
     def test_uniform_logits_give_log_vocab(self):
         logits = np.zeros((4, 11))
         targets = np.array([0, 3, 7, 10])
-        stats = balance_stats([gate_forward(logits_gate([0.0, 1.0]),
-                                            np.array([1.0]), top_k=1)])
+        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
+                                                     np.array([1.0]), top_k=1)]))
         bundle = total_loss(logits, targets, stats, lam=0.0)
         assert math.isclose(bundle.ce_loss, math.log(11), rel_tol=1e-12)
 
@@ -258,8 +260,8 @@ class TestLosses:
         assert math.isclose(bundle.total, 2.015, rel_tol=1e-12)
 
     def test_shape_mismatch(self):
-        stats = balance_stats([gate_forward(logits_gate([0.0, 1.0]),
-                                            np.array([1.0]), top_k=1)])
+        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
+                                                     np.array([1.0]), top_k=1)]))
         with pytest.raises(KernelError, match="logits"):
             total_loss(np.zeros((3, 4)), np.array([0, 1]), stats, lam=0.0)
 
@@ -288,6 +290,64 @@ class TestCheckpoint:
         loaded, seed = load_checkpoint(path)
         assert seed == 7
         assert loaded.top_k == 2 and loaded.normalized
-        assert np.array_equal(loaded.gate.weight, params.gate.weight)
-        assert np.array_equal(loaded.experts.w_down, params.experts.w_down)
-        assert np.array_equal(loaded.shared.w_up, params.shared.w_up)
+        assert np.array_equal(loaded.views["gate.weight"], params.views["gate.weight"])
+        assert np.array_equal(loaded.views["experts.w_down"], params.views["experts.w_down"])
+        assert np.array_equal(loaded.views["shared.w_up"], params.views["shared.w_up"])
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the checkpoint format predates the flat layout; its bytes must not move
+        params = init_block_params(np.random.default_rng(7), 3, 2, 4, 2, 3, True)
+        path = tmp_path / "block.json"
+        save_checkpoint(params, path, seed=7)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "ec33487ea98c678ba306a857d2a4cb615468ba60be91946cf056aadf8c9df6a0"
+
+
+class TestLayout:
+    def block(self, shared_dim=3):
+        rng = np.random.default_rng(8)
+        return init_block_params(rng, experts=3, top_k=2, model_dim=4, expert_dim=2,
+                                 shared_dim=shared_dim)
+
+    @pytest.mark.parametrize("shared_dim", [0, 3])
+    def test_named_arrays_round_trip_through_theta(self, shared_dim):
+        params = self.block(shared_dim)
+        arrays = {name: arr.copy() for name, arr in params.views.items()}
+        rebuilt = BlockParams.from_arrays(arrays, params.top_k)
+        assert np.array_equal(rebuilt.theta, params.theta)
+        assert rebuilt.layout == params.layout
+        assert rebuilt.theta.size == params.layout.size == sum(a.size for a in arrays.values())
+        for name, arr in arrays.items():
+            assert np.array_equal(rebuilt.views[name], arr)
+            assert np.shares_memory(rebuilt.views[name], rebuilt.theta)
+
+    def test_every_flat_index_labels_its_entry(self):
+        layout = self.block().layout
+        labels = [layout.label(j) for j in range(layout.size)]
+        expected = [f"{name}[{j}]" for name, _, shape in layout.entries
+                    for j in range(math.prod(shape))]
+        assert labels == expected
+        for name, offset, _ in layout.entries:
+            assert layout.label(offset) == f"{name}[0]"
+        with pytest.raises(IndexError):
+            layout.label(layout.size)
+
+    def test_wrong_shape_rejected(self):
+        arrays = dict(self.block().views)
+        arrays["experts.w_up"] = np.zeros((3, 2, 5))
+        with pytest.raises(KernelError, match="experts.w_up must have shape"):
+            BlockParams.from_arrays(arrays, top_k=2)
+        del arrays["experts.w_up"]
+        with pytest.raises(KernelError, match="block parameters must be"):
+            BlockParams.from_arrays(arrays, top_k=2)
+
+    def test_non_finite_entry_rejected(self):
+        params = self.block()
+        arrays = {name: arr.copy() for name, arr in params.views.items()}
+        arrays["shared.w_down"][1, 2] = np.nan
+        with pytest.raises(KernelError, match=r"shared.w_down\[5\] is not finite"):
+            BlockParams.from_arrays(arrays, top_k=2)
+        theta = params.theta.copy()
+        theta[0] = np.inf
+        with pytest.raises(KernelError, match=r"gate.weight\[0\] is not finite"):
+            BlockParams(theta, params.layout, top_k=2)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from moebudget.kernel import balance_stats, gate_forward, GateParams
+from moebudget.kernel import balance_stats, gate_forward
 from moebudget.toylab import (
     DivergenceError,
     ToyConfigError,
@@ -56,19 +56,25 @@ def test_divergence_carries_step_index():
     assert 1 <= excinfo.value.step <= 50
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_divergence_step_is_pinned(seed):
+    # a finite theta that overflows inside the forward is caught as divergence
+    with pytest.raises(DivergenceError) as excinfo:
+        run_toy_training(ToyTrainConfig(lr=1e9, seed=seed, steps=50))
+    assert excinfo.value.step == 3
+
+
 def test_uniform_measurements_pin_balance_loss_at_top_k():
     # whenever measured load and score vectors are uniform, the recorded
     # balance loss equals top_k
-    outs = []
+    mask = np.zeros((8, 8), dtype=bool)
+    scores = np.zeros((8, 8))
     for t in range(8):
-        out = gate_forward(GateParams(weight=np.zeros((8, 1))), np.array([1.0]),
-                           top_k=2)
-        sel = (2 * t % 8, (2 * t + 1) % 8)
-        weights = np.zeros(8)
-        weights[list(sel)] = out.scores[list(sel)]
-        outs.append(type(out)(scores=out.scores, selected=sel,
-                              gate_weights=weights, normalized=False))
-    stats = balance_stats(outs)
+        out = gate_forward(np.zeros((8, 1)), np.array([1.0]), top_k=2)
+        mask[t, [2 * t % 8, (2 * t + 1) % 8]] = True
+        scores[t] = out.scores
+    stats = balance_stats(mask, scores)
     assert np.ptp(stats.load_fraction) <= 1e-9
     assert np.ptp(stats.mean_score) <= 1e-9
     assert abs(stats.balance_loss - 2.0) <= 1e-6
