@@ -10,8 +10,9 @@ are computed in exact (arbitrary-width) integer arithmetic; ratios are floats.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 ARRANGEMENTS = ("full", "one_dense", "interleave")
 
@@ -68,7 +69,7 @@ class MoEShape:
     """MoE transformer shape.
 
     ``base`` carries the common dimensions; ``base.ffn_dim`` applies to the
-    dense layers only. ``moe_layers + dense_layers`` must equal ``base.layers``.
+    dense layers only; ``layer_split`` fixes ``moe_layers`` and ``dense_layers``.
     A ``shared_expert_dim`` of 0 means no shared expert.
     """
 
@@ -84,19 +85,16 @@ class MoEShape:
 
     def __post_init__(self) -> None:
         _require(self.moe_layers >= 1, f"moe_layers must be >= 1, got {self.moe_layers}")
-        _require(self.dense_layers >= 0,
-                 f"dense_layers must be >= 0, got {self.dense_layers}")
-        _require(self.moe_layers + self.dense_layers == self.base.layers,
-                 f"moe_layers + dense_layers must equal layers: "
-                 f"{self.moe_layers} + {self.dense_layers} != {self.base.layers}")
+        split = layer_split(self.base.layers, self.arrangement)
+        _require((self.moe_layers, self.dense_layers) == split,
+                 f"moe_layers + dense_layers must equal layers as {self.arrangement} splits "
+                 f"them: {self.moe_layers} + {self.dense_layers} != {split[0]} + {split[1]}")
         _require(self.experts >= 1, f"experts must be >= 1, got {self.experts}")
         _require(1 <= self.top_k <= self.experts,
                  f"top_k must be in [1, experts]: got {self.top_k} of {self.experts}")
         _require(self.expert_dim >= 1, f"expert_dim must be >= 1, got {self.expert_dim}")
         _require(self.shared_expert_dim >= 0,
                  f"shared_expert_dim must be >= 0, got {self.shared_expert_dim}")
-        _require(self.arrangement in ARRANGEMENTS,
-                 f"arrangement must be one of {ARRANGEMENTS}, got {self.arrangement!r}")
         # Renormalizing a single selected score is the constant 1 and carries
         # no gradient, so top_k == 1 with normalization is rejected here.
         _require(not (self.gate_normalized and self.top_k < 2),
@@ -254,49 +252,72 @@ def derive_budget(shape: DenseShape | MoEShape, tokens: int = 0) -> DerivedBudge
     )
 
 
+# (JSON key, dataclass field) tables shared by shape_to_json and shape_from_json
+DENSE_KEYS = (("L", "layers"), ("D_m", "model_dim"), ("D_ffn", "ffn_dim"),
+              ("H", "heads"), ("D_h", "head_dim"), ("S", "seq_len"))
+MOE_KEYS = (("L_e", "moe_layers"), ("L_d", "dense_layers"), ("E", "experts"),
+            ("K", "top_k"), ("D_e", "expert_dim"), ("D_se", "shared_expert_dim"),
+            ("arrangement", "arrangement"), ("gate_normalized", "gate_normalized"))
+
+
+def read_fields(obj: Any, groups: Sequence[tuple[type, Sequence[tuple[str, str]]]],
+                error: type[Exception] = ShapeError) -> list[dict[str, Any]]:
+    """Constructor kwargs for each ``(dataclass, ((json_key, field), ...))`` group.
+
+    Unknown keys, missing keys of fields without a default, and values that do
+    not fit the field annotation raise ``error``; an int field takes integral
+    floats, a float field ints, and bool and str fields only their own type.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"expected a JSON object, got {type(obj).__name__}")
+    known = {key for _, pairs in groups for key, _ in pairs}
+    for key in obj:
+        if key not in known:
+            raise error(f"unknown key {key!r}")
+    out = []
+    for cls, pairs in groups:
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        kwargs = {}
+        for key, name in pairs:
+            f = fields[name]
+            if key in obj:
+                kwargs[name] = json_value(key, obj[key], f.type, error)
+            elif f.default is f.default_factory is dataclasses.MISSING:
+                raise error(f"missing key {key!r}")
+        out.append(kwargs)
+    return out
+
+
+def json_value(key: str, value: Any, kind: str, error: type[Exception]) -> Any:
+    """``value`` as the ``kind`` ("int", "float", "bool" or "str") of field ``key``."""
+    if kind in ("bool", "str"):
+        if isinstance(value, bool if kind == "bool" else str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind == "int" and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind == "float" and (isinstance(value, float)
+                                or abs(value) <= sys.float_info.max):
+            return float(value)
+    raise error(f"{key} must be {kind}, got {value!r}")
+
+
 def shape_to_json(shape: DenseShape | MoEShape) -> dict[str, Any]:
     """Flat JSON object; MoE-only keys are absent for dense shapes."""
     if isinstance(shape, MoEShape):
-        base = shape.base
-        return {
-            "L": base.layers, "D_m": base.model_dim, "D_ffn": base.ffn_dim,
-            "H": base.heads, "D_h": base.head_dim, "S": base.seq_len,
-            "L_e": shape.moe_layers, "L_d": shape.dense_layers,
-            "E": shape.experts, "K": shape.top_k,
-            "D_e": shape.expert_dim, "D_se": shape.shared_expert_dim,
-            "arrangement": shape.arrangement,
-            "gate_normalized": shape.gate_normalized,
-        }
+        return {**shape_to_json(shape.base),
+                **{key: getattr(shape, name) for key, name in MOE_KEYS}}
     if isinstance(shape, DenseShape):
-        return {
-            "L": shape.layers, "D_m": shape.model_dim, "D_ffn": shape.ffn_dim,
-            "H": shape.heads, "D_h": shape.head_dim, "S": shape.seq_len,
-        }
+        return {key: getattr(shape, name) for key, name in DENSE_KEYS}
     raise ShapeError(f"unsupported shape type {type(shape).__name__}")
 
 
-def shape_from_json(obj: dict[str, Any]) -> DenseShape | MoEShape:
+def shape_from_json(obj: Any) -> DenseShape | MoEShape:
     """Inverse of shape_to_json; presence of an "E" key selects MoE."""
-    try:
-        base = DenseShape(
-            layers=int(obj["L"]), model_dim=int(obj["D_m"]), ffn_dim=int(obj["D_ffn"]),
-            heads=int(obj["H"]), head_dim=int(obj["D_h"]), seq_len=int(obj.get("S", 2048)),
-        )
-    except KeyError as exc:
-        raise ShapeError(f"shape object is missing key {exc.args[0]!r}") from None
-    if "E" not in obj:
-        return base
-    try:
-        return MoEShape(
-            base=base,
-            moe_layers=int(obj["L_e"]), dense_layers=int(obj["L_d"]),
-            experts=int(obj["E"]), top_k=int(obj["K"]),
-            expert_dim=int(obj["D_e"]), shared_expert_dim=int(obj.get("D_se", 0)),
-            arrangement=obj.get("arrangement", "one_dense"),
-            gate_normalized=bool(obj.get("gate_normalized", False)),
-        )
-    except KeyError as exc:
-        raise ShapeError(f"MoE shape object is missing key {exc.args[0]!r}") from None
+    if isinstance(obj, dict) and "E" in obj:
+        base, moe = read_fields(obj, ((DenseShape, DENSE_KEYS), (MoEShape, MOE_KEYS)))
+        return MoEShape(base=DenseShape(**base), **moe)
+    return DenseShape(**read_fields(obj, ((DenseShape, DENSE_KEYS),))[0])
 
 
 def layer_split(layers: int, arrangement: str) -> tuple[int, int]:

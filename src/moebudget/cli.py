@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,11 +69,29 @@ def _flat_csv(obj: dict[str, Any]) -> str:
     return _csv_payload(["key", "value"], rows)
 
 
-def _count(text: str) -> int:
+def _real(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
+def _count(text: str) -> int:
+    """An exact non-negative int: integer text, or float text naming an integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        if not _real(text).is_integer():
+            raise argparse.ArgumentTypeError(f"count must be an integer, got {text}") from None
+        value = int(float(text))
     if value < 0:
         raise argparse.ArgumentTypeError(f"count must be >= 0, got {text}")
-    return int(round(value))
+    return value
+
+
+def _given(args: argparse.Namespace) -> dict[str, Any]:
+    """The given flags of an ``argument_default=SUPPRESS`` subparser, by field name."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "format")}
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,15 +100,14 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv", dest="format", action="store_const", const="csv")
 
 
-def _load_shape_file(path: str) -> arch.DenseShape | arch.MoEShape:
+def _read_json(path: str, what: str) -> Any:
     file_path = Path(path)
     if not file_path.is_file():
-        raise CliUsageError(f"shape file not found: {file_path}")
+        raise CliUsageError(f"{what} not found: {file_path}")
     try:
-        payload = json.loads(file_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliUsageError(f"shape file {file_path} is not valid JSON: {exc}") from None
-    return arch.shape_from_json(payload)
+        return json.loads(file_path.read_text())
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise CliUsageError(f"{what} {file_path} is not valid JSON: {exc}") from None
 
 
 def _budget_payload(shape: arch.DenseShape | arch.MoEShape,
@@ -106,7 +124,7 @@ def _budget_payload(shape: arch.DenseShape | arch.MoEShape,
 # ---------------------------------------------------------------------------
 
 def _cmd_plan(args: argparse.Namespace) -> CommandResult:
-    shape = _load_shape_file(args.shape_file)
+    shape = arch.shape_from_json(_read_json(args.shape_file, "shape file"))
     is_moe = isinstance(shape, arch.MoEShape)
     if args.kind == "moe" and not is_moe:
         raise CliUsageError(f"{args.shape_file} holds a dense shape, not MoE")
@@ -117,7 +135,7 @@ def _cmd_plan(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_budget(args: argparse.Namespace) -> CommandResult:
-    shape = _load_shape_file(args.shape_file)
+    shape = arch.shape_from_json(_read_json(args.shape_file, "shape file"))
     probe = arch.derive_budget(shape)
     tokens = planner.tokens_for_compute(args.compute, probe.fwd_flops_per_token)
     budget = arch.derive_budget(shape, tokens=tokens)
@@ -125,22 +143,7 @@ def _cmd_budget(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_search(args: argparse.Namespace) -> CommandResult:
-    spec = SearchSpec(
-        target_params=args.target_n,
-        target_activation_rate=args.target_ra,
-        aspect_ratio=args.zeta,
-        expert_width_ratio=args.mu,
-        dense_ffn_ratio=args.alpha,
-        head_dim=args.head_dim,
-        seq_len=args.seq_len,
-        arrangement=args.arrangement,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        expert_dim_multiple=args.de_multiple,
-        max_experts=args.max_experts,
-        max_candidates=args.limit,
-    )
-    result = search(spec)
+    result = search(SearchSpec(**_given(args)))
     if not result.candidates:
         diagnostics = "\n".join(result.diagnostics) or "no feasible configuration"
         return CommandResult(EXIT_INFEASIBLE, _json_payload(result.to_json_dict()),
@@ -164,8 +167,7 @@ def _cmd_search(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_dense_baseline(args: argparse.Namespace) -> CommandResult:
-    shape = dense_baseline(args.target_n, aspect_ratio=args.zeta, ffn_ratio=args.alpha,
-                           head_dim=args.head_dim, seq_len=args.seq_len)
+    shape = dense_baseline(**_given(args))
     budget = arch.derive_budget(shape)
     return CommandResult(EXIT_OK, _budget_payload(shape, budget, args.format))
 
@@ -212,19 +214,19 @@ def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
-    shapes_path = Path(args.shapes_file)
-    if not shapes_path.is_file():
-        raise CliUsageError(f"shapes file not found: {shapes_path}")
-    entries = json.loads(shapes_path.read_text())
+    entries = _read_json(args.shapes_file, "shapes file")
     if not isinstance(entries, list) or not entries:
         raise CliUsageError("shapes file must hold a nonempty JSON list")
     shapes = []
-    row_hparams: list[tuple[float, float]] | None = []
+    row_hparams: list[tuple[Any, Any]] | None = []
     for entry in entries:
-        if "shape" in entry:
+        if isinstance(entry, dict) and "shape" in entry:
+            if not set(entry) <= {"shape", "eta", "B"}:
+                raise CliUsageError(f"shapes file entry keys must be among shape, eta, B; "
+                                    f"got {sorted(entry)}")
             shapes.append(arch.shape_from_json(entry["shape"]))
             if row_hparams is not None and "eta" in entry and "B" in entry:
-                row_hparams.append((float(entry["eta"]), float(entry["B"])))
+                row_hparams.append((entry["eta"], entry["B"]))
             else:
                 row_hparams = None
         else:
@@ -257,11 +259,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
-    settings = kernel.GradCheckSettings(
-        experts=args.experts, top_k=args.top_k, model_dim=args.model_dim,
-        expert_dim=args.expert_dim, shared_dim=args.shared_dim,
-        normalized=args.normalized, seed=args.seed, trials=args.trials,
-        tolerance=args.tolerance, lam=args.lam)
+    settings = kernel.GradCheckSettings(**_given(args))
     report = kernel.grad_check(settings)
     obj = report.to_json_dict()
     payload = _flat_csv(obj) if args.format == "csv" else _json_payload(obj)
@@ -273,28 +271,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        raise CliUsageError(f"config file not found: {config_path}")
-    raw = json.loads(config_path.read_text())
-    task = toylab.ToyTask(
-        vocab=int(raw.get("vocab", 64)), seq_len=int(raw.get("seq_len", 17)),
-        clusters=int(raw.get("clusters", 4)), seed=int(raw.get("task_seed", 0)),
-        concentration=float(raw.get("concentration", 1.0)))
-    config = toylab.ToyTrainConfig(
-        task=task,
-        model_dim=int(raw.get("model_dim", 32)),
-        expert_dim=int(raw.get("expert_dim", 16)),
-        shared_dim=int(raw.get("shared_dim", 16)),
-        experts=int(raw.get("experts", 8)),
-        top_k=int(raw.get("top_k", 2)),
-        normalized=bool(raw.get("normalized", False)),
-        lam=float(raw.get("lam", 0.01)),
-        lr=float(raw.get("lr", 0.2)),
-        momentum=float(raw.get("momentum", 0.9)),
-        batch_sequences=int(raw.get("batch_sequences", 32)),
-        steps=int(raw.get("steps", 2000)),
-        seed=int(raw.get("seed", 0)))
+    config = toylab.toy_config_from_json(_read_json(args.config, "config file"))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = toylab.run_toy_training(config)
@@ -342,34 +319,37 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("budget", help="token budget for a compute budget")
-    p.add_argument("--compute", type=float, required=True)
+    p.add_argument("--compute", type=_count, required=True)
     p.add_argument("--shape-file", required=True)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_budget)
 
-    p = sub.add_parser("search", help="MoE configurations for a (N, r_a) target")
-    p.add_argument("--target-n", type=_count, required=True)
-    p.add_argument("--target-ra", type=float, required=True)
-    p.add_argument("--zeta", type=float, default=88.0)
-    p.add_argument("--mu", type=float, default=22.0)
-    p.add_argument("--alpha", type=float, default=2.77)
-    p.add_argument("--head-dim", type=int, default=128)
-    p.add_argument("--seq-len", type=int, default=2048)
-    p.add_argument("--arrangement", choices=arch.ARRANGEMENTS, default="one_dense")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=32)
-    p.add_argument("--de-multiple", type=int, default=32)
-    p.add_argument("--max-experts", type=int, default=128)
-    p.add_argument("--limit", type=int, default=20)
+    # search, dense-baseline and grad-check flags keep their owner's defaults: see _given
+    p = sub.add_parser("search", help="MoE configurations for a (N, r_a) target",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--target-n", dest="target_params", type=_count, required=True)
+    p.add_argument("--target-ra", dest="target_activation_rate", type=_real, required=True)
+    p.add_argument("--zeta", dest="aspect_ratio", type=_real)
+    p.add_argument("--mu", dest="expert_width_ratio", type=_real)
+    p.add_argument("--alpha", dest="dense_ffn_ratio", type=_real)
+    p.add_argument("--head-dim", type=int)
+    p.add_argument("--seq-len", type=int)
+    p.add_argument("--arrangement", choices=arch.ARRANGEMENTS)
+    p.add_argument("--k-min", type=int)
+    p.add_argument("--k-max", type=int)
+    p.add_argument("--de-multiple", dest="expert_dim_multiple", type=int)
+    p.add_argument("--max-experts", type=int)
+    p.add_argument("--limit", dest="max_candidates", type=int)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("dense-baseline", help="dense shape for a parameter target")
-    p.add_argument("--target-n", type=_count, required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--head-dim", type=int, default=128)
-    p.add_argument("--seq-len", type=int, default=2048)
+    p = sub.add_parser("dense-baseline", help="dense shape for a parameter target",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--target-n", dest="target_params", type=_count, required=True)
+    p.add_argument("--zeta", dest="aspect_ratio", type=_real, required=True)
+    p.add_argument("--alpha", dest="ffn_ratio", type=_real, required=True)
+    p.add_argument("--head-dim", type=int)
+    p.add_argument("--seq-len", type=int)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_dense_baseline)
 
@@ -385,7 +365,7 @@ def build_parser() -> _Parser:
     p.add_argument("--from-fixture", required=True, metavar="TABLE")
     p.add_argument("--target", choices=("eta", "batch"), required=True)
     p.add_argument("--n-column", choices=("N", "N_a"), default="N")
-    p.add_argument("--ra", type=float, default=None,
+    p.add_argument("--ra", type=_real, default=None,
                    help="keep only rows with this r_a (percent)")
     p.add_argument("--dir", default=None, help="fixture directory override")
     _add_format_flags(p)
@@ -393,7 +373,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="activation-rate sweep at fixed C or D")
     p.add_argument("--fixed", choices=("c", "d"), required=True)
-    p.add_argument("--value", type=float, required=True)
+    p.add_argument("--value", type=_real, required=True)
     p.add_argument("--shapes-file", required=True)
     p.add_argument("--hparams-from", default=None, metavar="TABLE")
     p.add_argument("--n-column", choices=("N", "N_a"), default="N")
@@ -404,17 +384,18 @@ def build_parser() -> _Parser:
     _add_format_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of the kernel")
-    p.add_argument("--E", dest="experts", type=int, default=4)
-    p.add_argument("--K", dest="top_k", type=int, default=2)
-    p.add_argument("--D_m", dest="model_dim", type=int, default=5)
-    p.add_argument("--D_e", dest="expert_dim", type=int, default=3)
-    p.add_argument("--D_se", dest="shared_dim", type=int, default=0)
+    p = sub.add_parser("grad-check", help="finite-difference check of the kernel",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--E", dest="experts", type=int)
+    p.add_argument("--K", dest="top_k", type=int)
+    p.add_argument("--D_m", dest="model_dim", type=int)
+    p.add_argument("--D_e", dest="expert_dim", type=int)
+    p.add_argument("--D_se", dest="shared_dim", type=int)
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--lam", type=float, default=0.01)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--tolerance", type=_real)
+    p.add_argument("--lam", type=_real)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_grad_check)
 
@@ -452,7 +433,7 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
     except toylab.DivergenceError as exc:
         return CommandResult(EXIT_NUMERICAL, "", str(exc))
-    except (json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
 
 

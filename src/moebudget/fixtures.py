@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .arch import DenseShape, MoEShape, derive_budget
+from .arch import DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, shape_from_json
 from .planner import iterations
 
 FIXTURES_ENV_VAR = "MOEBUDGET_FIXTURES"
@@ -59,26 +59,15 @@ class FixtureTable:
         return self.meta.get("reuse_scheme")
 
     def row_shape(self, row: dict[str, float]) -> DenseShape | MoEShape:
-        """Materialize the architecture of one table row."""
-        m = self.meta
+        """Materialize one row: shape-field keys of the index entry plus row columns."""
+        obj = {key: self.meta[name] for key, name in DENSE_KEYS + MOE_KEYS
+               if name in self.meta}
         if self.kind == "dense":
-            model_dim = int(row["D_m"])
-            heads = int(row["H"])
-            return DenseShape(
-                layers=int(row["L"]), model_dim=model_dim, ffn_dim=int(row["D_ffn"]),
-                heads=heads, head_dim=model_dim // heads, seq_len=int(m["seq_len"]),
-            )
-        base = DenseShape(
-            layers=int(m["layers"]), model_dim=int(m["model_dim"]),
-            ffn_dim=int(m["ffn_dim"]), heads=int(m["heads"]),
-            head_dim=int(m["head_dim"]), seq_len=int(m["seq_len"]),
-        )
-        return MoEShape(
-            base=base, moe_layers=int(m["moe_layers"]), dense_layers=int(m["dense_layers"]),
-            experts=int(row["E"]), top_k=int(row["K"]),
-            expert_dim=int(row["D_e"]), shared_expert_dim=int(row["D_se"]),
-            arrangement=m["arrangement"],
-        )
+            obj.update(L=row["L"], D_m=row["D_m"], D_ffn=row["D_ffn"], H=row["H"],
+                       D_h=row["D_m"] // row["H"])
+        else:
+            obj.update(E=row["E"], K=row["K"], D_e=row["D_e"], D_se=row["D_se"])
+        return shape_from_json(obj)
 
     def row_tokens(self, row: dict[str, float]) -> int:
         """Consumed token count of a row; loose-reuse tables store unique tokens."""
@@ -96,9 +85,12 @@ def _load_index(directory: Path) -> dict[str, Any]:
     if not index_path.is_file():
         raise FixtureError(f"fixture index not found: {index_path}")
     try:
-        return json.loads(index_path.read_text())
+        index = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture index {index_path} is not valid JSON: {exc}") from None
+    if not isinstance(index, dict):
+        raise FixtureError(f"fixture index {index_path} must hold a JSON object")
+    return index
 
 
 def load_table(name: str, directory: str | os.PathLike | None = None) -> FixtureTable:
@@ -107,6 +99,9 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
     if name not in index:
         raise FixtureError(f"unknown fixture table {name!r}; known: {sorted(index)}")
     meta = index[name]
+    if not isinstance(meta, dict) or not isinstance(meta.get("file"), str) \
+            or meta.get("kind") not in ("moe", "dense"):
+        raise FixtureError(f'index entry {name!r} needs a "file" and a "kind" of moe or dense')
     csv_path = base / meta["file"]
     if not csv_path.is_file():
         raise FixtureError(f"fixture file not found: {csv_path}")
@@ -173,13 +168,11 @@ class ValidationReport:
     def rows_checked(self) -> int:
         return len({(c.table, c.row) for c in self.checks})
 
-    def max_residual(self, normalized: bool = True) -> float:
+    def max_residual(self) -> float:
         """Worst residual, expressed as a fraction of its own limit."""
         if not self.checks:
             return 0.0
-        if normalized:
-            return max(c.residual / c.limit for c in self.checks)
-        return max(c.residual for c in self.checks)
+        return max(c.residual / c.limit for c in self.checks)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

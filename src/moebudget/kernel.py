@@ -489,13 +489,13 @@ def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
 
 def init_block_params(rng: np.random.Generator, experts: int, top_k: int,
                       model_dim: int, expert_dim: int, shared_dim: int = 0,
-                      normalized: bool = False, scale: float = 1.0) -> BlockParams:
+                      normalized: bool = False) -> BlockParams:
     """Random block parameters with 1/sqrt(fan_in) initialization.
 
     Draws one normal matrix per (rows, cols) slice in layout order; a stacked
     (experts, rows, cols) draw is the same stream as one draw per expert.
     """
-    arrays = {name: rng.normal(0.0, scale / math.sqrt(shape[-1]), size=shape)
+    arrays = {name: rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
               for name, shape in _block_shapes(experts, model_dim, expert_dim, shared_dim)}
     return BlockParams.from_arrays(arrays, top_k, normalized)
 
@@ -529,6 +529,13 @@ def load_checkpoint(path: str | Path) -> tuple[BlockParams, int | None]:
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
+# Grad-check tokens per trial, FD step scale, Top-K tie margin and draws per trial
+_GC_BATCH = 2
+_FD_STEP = 1e-5
+_TIE_MARGIN = 1e-3
+_MAX_DRAWS = 64
+
+
 @dataclass(frozen=True)
 class GradCheckSettings:
     experts: int = 4
@@ -540,18 +547,17 @@ class GradCheckSettings:
     seed: int = 0
     trials: int = 20
     tolerance: float = 1e-5
-    batch: int = 2
     lam: float = 0.01
-    step: float = 1e-5       # scaled per entry by max(1, |theta|)
-    tie_margin: float = 1e-3  # configurations routed this close to a tie are resampled
 
     def __post_init__(self) -> None:
         # a NaN fails every comparison, so it is rejected too
-        for name, ok, rule in (("trials", self.trials >= 1, ">= 1"),
-                               ("batch", self.batch >= 1, ">= 1"),
+        for name, ok, rule in (("experts", self.experts >= 1, ">= 1"),
+                               ("model_dim", self.model_dim >= 1, ">= 1"),
+                               ("expert_dim", self.expert_dim >= 1, ">= 1"),
+                               ("shared_dim", self.shared_dim >= 0, ">= 0"),
+                               ("trials", self.trials >= 1, ">= 1"),
                                ("lam", self.lam >= 0, ">= 0"),
-                               ("tolerance", self.tolerance > 0, "> 0"),
-                               ("step", self.step > 0, "> 0")):
+                               ("tolerance", self.tolerance > 0, "> 0")):
             if not ok:
                 raise KernelError(f"{name} must be {rule}, got {getattr(self, name)}")
 
@@ -593,7 +599,7 @@ class GradCheckReport:
                 "model_dim": self.settings.model_dim, "expert_dim": self.settings.expert_dim,
                 "shared_dim": self.settings.shared_dim, "normalized": self.settings.normalized,
                 "seed": self.settings.seed, "trials": self.settings.trials,
-                "batch": self.settings.batch, "lam": self.settings.lam,
+                "batch": _GC_BATCH, "lam": self.settings.lam,
             },
         }
 
@@ -643,7 +649,7 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     """Compare the manual backward pass against central finite differences.
 
     Each trial draws fresh parameters, inputs and probe weights, skipping
-    draws routed within ``tie_margin`` of a Top-K tie so that the frozen
+    draws routed within ``_TIE_MARGIN`` of a Top-K tie so that the frozen
     selected set is locally constant. Every parameter entry and every input
     entry is perturbed: theta is the block's flat parameters followed by x,
     and the 2P copies theta +- h e_j are evaluated forward only, in stacked
@@ -658,7 +664,7 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
         layout = Layout(params.layout.entries + (("x", params.layout.size, x.shape),))
         theta = np.concatenate([params.theta, x.ravel()])
         analytic = np.concatenate([grads.theta, grads.x.ravel()])
-        h = settings.step * np.maximum(1.0, np.abs(theta))
+        h = _FD_STEP * np.maximum(1.0, np.abs(theta))
         bumped = np.concatenate([theta + h, theta - h])
         totals = np.empty_like(bumped)
         chunk = max(1, _FD_ENTRIES // theta.size)
@@ -676,17 +682,17 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     return GradCheckReport(settings=settings, trials=tuple(trials), checked_entries=checked)
 
 
-def _draw_non_tie_configuration(rng: np.random.Generator, settings: GradCheckSettings,
-                                max_attempts: int = 64) -> tuple[BlockParams, np.ndarray, np.ndarray]:
-    for _ in range(max_attempts):
+def _draw_non_tie_configuration(rng: np.random.Generator, settings: GradCheckSettings
+                                ) -> tuple[BlockParams, np.ndarray, np.ndarray]:
+    for _ in range(_MAX_DRAWS):
         params = init_block_params(rng, settings.experts, settings.top_k,
                                    settings.model_dim, settings.expert_dim,
                                    settings.shared_dim, settings.normalized)
-        x = rng.normal(0.0, 1.0, size=(settings.batch, settings.model_dim))
-        probe = rng.normal(0.0, 1.0, size=(settings.batch, settings.model_dim))
+        x = rng.normal(0.0, 1.0, size=(_GC_BATCH, settings.model_dim))
+        probe = rng.normal(0.0, 1.0, size=(_GC_BATCH, settings.model_dim))
         _, cache = moe_batch_forward(params, x)
-        if selection_margin(cache) > settings.tie_margin:
+        if selection_margin(cache) > _TIE_MARGIN:
             return params, x, probe
     raise KernelError(
-        f"could not draw a configuration with selection margin > {settings.tie_margin} "
-        f"after {max_attempts} attempts")
+        f"could not draw a configuration with selection margin > {_TIE_MARGIN} "
+        f"after {_MAX_DRAWS} attempts")

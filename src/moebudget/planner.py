@@ -13,7 +13,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget
+from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value
 
 # Recipe constants shared by every plan; recorded in plan metadata, the
 # schedule itself is not simulated.
@@ -306,8 +306,10 @@ def build_sweep(fixed: str, value: float,
             tokens = int(value)
         budget = derive_budget(shape, tokens=tokens)
         if row_hparams is not None:
-            eta, batch = row_hparams[i]
-            batch = int(batch)
+            eta = json_value("eta", row_hparams[i][0], "float", PlannerError)
+            batch = json_value("B", row_hparams[i][1], "int", PlannerError)
+            if not (0 < eta < math.inf and batch >= 1):
+                raise PlannerError(f"need finite eta > 0 and B >= 1, got {eta!r}, {batch!r}")
         else:
             eta_fit, batch_fit = hparam_fits
             n_for_fit = budget.total_params if n_source == "total" else budget.active_params

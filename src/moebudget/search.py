@@ -12,6 +12,7 @@ exact recomputed budget hits the target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,7 +40,14 @@ class InfeasibleSpecError(ValueError):
     """No integer configuration satisfies the spec; the message names why."""
 
 
+_SEARCH_MAX_LAYERS = 160
+_DENSE_MAX_LAYERS = 256
+_DENSE_TOLERANCE = 0.02
+
+
 def _snap(value: float, multiple: int) -> int:
+    if not math.isfinite(value):
+        raise SearchSpecError(f"grid value {value} is not finite; a ratio is too large")
     return multiple * int(value / multiple + 0.5)
 
 
@@ -59,8 +67,6 @@ class SearchSpec:
     k_max: int = 32
     expert_dim_multiple: int = 32
     max_experts: int = 128
-    rank_penalty: float = 1.0         # weight of |delta r_a| against |delta N|/N
-    max_layers: int = 160
     max_candidates: int = 20
 
     def __post_init__(self) -> None:
@@ -121,7 +127,7 @@ def _layer_grid(spec: SearchSpec) -> list[tuple[int, int, int, int, int]]:
     mu = spec.expert_width_ratio
     grid = []
     min_layers = 2 if spec.arrangement == "one_dense" else 1
-    for layers in range(min_layers, spec.max_layers + 1):
+    for layers in range(min_layers, _SEARCH_MAX_LAYERS + 1):
         model_dim = max(spec.head_dim, _snap(spec.aspect_ratio * layers, spec.head_dim))
         ffn_dim = max(16, _snap(alpha * model_dim, 16))
         moe_layers, dense_layers = layer_split(layers, spec.arrangement)
@@ -197,8 +203,7 @@ def search(spec: SearchSpec) -> SearchResult:
                 delta_params_rel=(budget.total_params - target_n) / target_n,
                 delta_activation_abs=budget.activation_rate - target_ra,
             )
-            score = abs(candidate.delta_params_rel) \
-                + spec.rank_penalty * abs(candidate.delta_activation_abs)
+            score = candidate.score
             if top_k < spec.k_min:
                 score += 0.004  # prefer top_k >= k_min unless coarser routing is clearly better
             key = (round(score, 9), abs(expert_dim - model_dim // 4), top_k, layers)
@@ -215,19 +220,18 @@ def search(spec: SearchSpec) -> SearchResult:
 
 
 def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
-                   head_dim: int, seq_len: int = 2048,
-                   max_layers: int = 256, tolerance: float = 0.02) -> DenseShape:
+                   head_dim: int = 128, seq_len: int = 2048) -> DenseShape:
     """Smallest-|delta N| dense shape on the head_dim grid for a parameter target.
 
     Deterministic: ties in |delta N| break toward fewer layers. Raises
-    InfeasibleSpecError when no shape lands within ``tolerance``.
+    InfeasibleSpecError when no shape lands within ``_DENSE_TOLERANCE``.
     """
     if target_params < 1:
         raise SearchSpecError(f"target_params must be >= 1, got {target_params}")
     if aspect_ratio <= 0 or ffn_ratio <= 0 or head_dim < 1:
         raise SearchSpecError("aspect_ratio, ffn_ratio and head_dim must be positive")
     best: tuple[float, int, DenseShape] | None = None
-    for layers in range(1, max_layers + 1):
+    for layers in range(1, _DENSE_MAX_LAYERS + 1):
         model_dim = max(head_dim, _snap(aspect_ratio * layers, head_dim))
         ffn_dim = max(16, _snap(ffn_ratio * model_dim, 16))
         shape = DenseShape(layers=layers, model_dim=model_dim, ffn_dim=ffn_dim,
@@ -238,9 +242,9 @@ def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
             best = (rel, layers, shape)
     assert best is not None
     rel, _, shape = best
-    if rel > tolerance:
+    if rel > _DENSE_TOLERANCE:
         raise InfeasibleSpecError(
-            f"no dense shape within {tolerance:.0%} of N={target_params:.3g} at "
+            f"no dense shape within {_DENSE_TOLERANCE:.0%} of N={target_params:.3g} at "
             f"aspect_ratio={aspect_ratio}, ffn_ratio={ffn_ratio}, head_dim={head_dim} "
             f"(closest miss {rel:.1%})")
     return shape

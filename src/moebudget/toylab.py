@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from .arch import read_fields
 from .kernel import (
     BlockParams,
     KernelError,
@@ -67,6 +68,9 @@ class ToyTask:
             raise ToyConfigError(f"clusters must be >= 2, got {self.clusters}")
         if self.vocab < 2 or self.seq_len < 2:
             raise ToyConfigError("vocab and seq_len must be >= 2")
+        if not 0 <= self.concentration < math.inf:
+            raise ToyConfigError(
+                f"concentration must be finite and >= 0, got {self.concentration}")
 
     def cluster_distributions(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -121,6 +125,20 @@ class ToyTrainConfig:
             raise ToyConfigError("need 1 <= top_k <= experts")
         if self.normalized and self.top_k < 2:
             raise ToyConfigError("normalized gating requires top_k >= 2")
+
+
+_TASK_KEYS = (("vocab", "vocab"), ("seq_len", "seq_len"), ("clusters", "clusters"),
+              ("task_seed", "seed"), ("concentration", "concentration"))
+_TRAIN_KEYS = tuple((name, name) for name in (
+    "model_dim", "expert_dim", "shared_dim", "experts", "top_k", "normalized", "lam",
+    "lr", "momentum", "batch_sequences", "steps", "seed"))
+
+
+def toy_config_from_json(obj: Any) -> ToyTrainConfig:
+    """Config from a JSON object of the keys above; absent keys keep the defaults."""
+    task, train = read_fields(obj, ((ToyTask, _TASK_KEYS), (ToyTrainConfig, _TRAIN_KEYS)),
+                              ToyConfigError)
+    return ToyTrainConfig(task=ToyTask(**task), **train)
 
 
 @dataclass(frozen=True)
@@ -201,7 +219,7 @@ def _init_model(config: ToyTrainConfig, rng: np.random.Generator) -> _ToyModel:
     mix = rng.normal(0.0, scale, size=(config.model_dim, config.model_dim))
     block = init_block_params(rng, config.experts, config.top_k, config.model_dim,
                               config.expert_dim, config.shared_dim,
-                              config.normalized, scale=1.0)
+                              config.normalized)
     head = rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim))
     layout = Layout.of([("embed", embed.shape), ("mix", mix.shape),
                         ("block", block.theta.shape), ("head", head.shape)])

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebudget.arch import (
+    DENSE_KEYS,
+    MOE_KEYS,
     ComputeRatio,
     DenseShape,
     MoEShape,
@@ -23,6 +25,7 @@ from moebudget.arch import (
     shape_to_json,
     training_compute,
 )
+from moebudget.toylab import ToyConfigError, ToyTrainConfig, toy_config_from_json
 
 DENSE_7B = DenseShape(layers=32, model_dim=4096, ffn_dim=11008, heads=32,
                       head_dim=128, seq_len=2048)
@@ -115,6 +118,9 @@ class TestMoeParams:
         with pytest.raises(ShapeError, match="normalized"):
             MoEShape(base=base, moe_layers=3, dense_layers=1, experts=4, top_k=1,
                      expert_dim=64, gate_normalized=True)
+        with pytest.raises(ShapeError, match="moe_layers \\+ dense_layers"):
+            MoEShape(base=base, moe_layers=3, dense_layers=1, experts=4, top_k=2,
+                     expert_dim=64, arrangement="full")
 
 
 class TestActivationRate:
@@ -227,6 +233,57 @@ class TestSerialization:
     def test_missing_key_reported(self):
         with pytest.raises(ShapeError, match="'D_m'"):
             shape_from_json({"L": 4})
+
+    def test_integral_floats_read_as_ints(self):
+        obj = {**shape_to_json(MOE_7B), "L": 24.0, "D_m": 2.048e3}
+        assert shape_from_json(obj) == MOE_7B
+
+
+# Arbitrary JSON, plus objects over the real keys with plausible values so that
+# the dataclass invariants, not only the type checks, are reached.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+PLAUSIBLE = st.integers(-1, 64) | st.floats(-1.0, 64.0) | st.booleans() \
+    | st.sampled_from(["full", "one_dense", "interleave"])
+TOY_KEYS = ["vocab", "seq_len", "clusters", "task_seed", "concentration", "model_dim",
+            "expert_dim", "shared_dim", "experts", "top_k", "normalized", "lam", "lr",
+            "momentum", "batch_sequences", "steps", "seed"]
+
+
+def json_objects(keys):
+    return JSON_VALUES | st.dictionaries(st.sampled_from(keys) | st.text(max_size=3),
+                                         PLAUSIBLE | JSON_VALUES, max_size=len(keys))
+
+
+class TestJsonReaders:
+    @given(obj=json_objects([key for key, _ in DENSE_KEYS + MOE_KEYS]))
+    @settings(max_examples=300, deadline=None)
+    def test_shape_reader_returns_shape_or_shape_error(self, obj):
+        try:
+            shape = shape_from_json(obj)
+        except ShapeError:
+            return
+        assert shape_from_json(shape_to_json(shape)) == shape
+
+    @given(obj=json_objects(TOY_KEYS))
+    @settings(max_examples=300, deadline=None)
+    def test_toy_reader_returns_config_or_toy_config_error(self, obj):
+        try:
+            config = toy_config_from_json(obj)
+        except ToyConfigError:
+            return
+        assert isinstance(config, ToyTrainConfig)
+
+    def test_toy_reader_takes_exactly_the_documented_keys(self):
+        obj = {**{key: 2 for key in TOY_KEYS}, "normalized": True}
+        config = toy_config_from_json(obj)
+        assert (config.task.seed, config.seed, config.lam, config.normalized) == \
+            (2, 2, 2.0, True)
+        with pytest.raises(ToyConfigError, match="unknown key 'init_scale'"):
+            toy_config_from_json({"init_scale": 0.02})
 
 
 @st.composite

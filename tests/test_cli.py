@@ -7,8 +7,11 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from moebudget.arch import shape_to_json
+from moebudget.arch import derive_budget, shape_from_json, shape_to_json
 from moebudget.cli import dispatch
+from moebudget.kernel import GradCheckSettings, grad_check
+from moebudget.search import SearchSpec, search
+from moebudget.toylab import ToyTrainConfig, run_toy_training
 
 SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
 
@@ -89,9 +92,23 @@ class TestExitCodes:
         assert flag.lstrip("-") in result.diagnostics
         assert "\n" not in result.diagnostics
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--D_e", "0", "expert_dim"), ("--D_m", "0", "model_dim"),
+        ("--D_se", "-3", "shared_dim"),
+    ])
+    def test_invalid_grad_check_dimensions(self, flag, value, field):
+        result = dispatch(["grad-check", flag, value])
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics.startswith(f"{field} must be")
+        assert "\n" not in result.diagnostics
+
     @pytest.mark.parametrize("field,value", [
         ("model_dim", 0), ("expert_dim", 0), ("lr", "nan"), ("momentum", "inf"),
         ("batch_sequences", 0),
+        # json.dumps writes a float NaN as the bare NaN literal
+        pytest.param("lr", float("nan"), id="lr-NaN-literal"),
+        pytest.param("concentration", float("nan"), id="concentration-NaN-literal"),
     ])
     def test_invalid_toy_config(self, tmp_path, field, value):
         config = tmp_path / "toy.json"
@@ -101,6 +118,144 @@ class TestExitCodes:
         assert result.payload == ""
         assert result.diagnostics.startswith(f"{field} must be")
         assert "\n" not in result.diagnostics
+
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--zeta", "1e308"],
+        ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--mu", "1e308"],
+        ["dense-baseline", "--target-n", "6.52e9", "--zeta", "1e308", "--alpha", "2.77"],
+    ])
+    def test_grid_overflow_is_a_validation_error(self, argv):
+        result = dispatch(argv)
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert "not finite" in result.diagnostics
+        assert "\n" not in result.diagnostics
+
+
+def _assert_rejected(result):
+    assert result.exit_code == 1, result.diagnostics
+    assert result.payload == ""
+    assert result.diagnostics
+
+
+class TestStrictInput:
+    @pytest.mark.parametrize("obj", [
+        pytest.param([1], id="not-an-object"),
+        pytest.param({**MOE_7B_SHAPE, "L": "abc"}, id="string-int"),
+        pytest.param({**MOE_7B_SHAPE, "L": 3.7}, id="fractional-int"),
+        pytest.param({**MOE_7B_SHAPE, "L": 24.5}, id="fractional-int-near-valid"),
+        pytest.param({**MOE_7B_SHAPE, "gate_normalized": "false"}, id="string-bool"),
+        pytest.param({**MOE_7B_SHAPE, "arrangement": "full"}, id="full-split"),
+        pytest.param({**MOE_7B_SHAPE, "arrangement": "interleave"}, id="interleave-split"),
+        pytest.param({**MOE_7B_SHAPE, "L_x": 1}, id="unknown-key"),
+        pytest.param({**DENSE_7B_SHAPE, "L_e": 31}, id="moe-key-without-E"),
+    ])
+    def test_malformed_shape_file(self, tmp_path, obj):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        result = dispatch(["budget", "--compute", "1e21", "--shape-file", str(path)])
+        _assert_rejected(result)
+        assert "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("obj", [
+        pytest.param([1], id="not-an-object"),
+        pytest.param({"stepz": 1}, id="unknown-key"),
+        pytest.param({"steps": 2.9}, id="fractional-int"),
+        pytest.param({"normalized": "false"}, id="string-bool"),
+        pytest.param({"init_scale": 0.02}, id="unread-field"),
+    ])
+    def test_malformed_toy_config(self, tmp_path, obj):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(obj))
+        result = dispatch(["train-toy", "--config", str(path)])
+        _assert_rejected(result)
+        assert "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param({"eta": 1e-3, "B": 24.5}, id="fractional-B"),
+        pytest.param({"eta": "1e-3", "B": 24}, id="string-eta"),
+        pytest.param({"eta": -1e-3, "B": 24}, id="negative-eta"),
+        pytest.param({"eta": 1e-3, "B": 0}, id="zero-B"),
+        pytest.param({"eta": 1e-3, "B": 24, "S": 4096}, id="unknown-key"),
+    ])
+    def test_malformed_sweep_entry(self, tmp_path, entry):
+        path = tmp_path / "shapes.json"
+        path.write_text(json.dumps([{"shape": MOE_7B_SHAPE, **entry}]))
+        _assert_rejected(dispatch(["sweep", "--fixed", "c", "--value", "2.86e21",
+                                   "--shapes-file", str(path)]))
+
+    @pytest.mark.parametrize("argv", [
+        ["budget", "--compute", "nan"], ["budget", "--compute", "inf"],
+        ["plan", "moe", "--tokens", "inf"], ["plan", "moe", "--tokens", "1.5"],
+    ])
+    def test_malformed_count(self, moe_shape_file, argv):
+        _assert_rejected(dispatch(argv + ["--shape-file", moe_shape_file]))
+
+    def test_non_finite_ratio(self):
+        _assert_rejected(dispatch(["fit-hparams", "--from-fixture", "moe_2b_fixed_data",
+                                   "--target", "eta", "--ra", "nan"]))
+
+    # Every count flag (exact non-negative int) and real flag (finite float),
+    # each with the other arguments of a valid command.
+    FLAG_COMMANDS = {
+        "--compute": ["budget", "--shape-file", "{moe}"],
+        "--tokens": ["reuse", "--scheme", "loose"],
+        "--unique-tokens": ["reuse", "--scheme", "strict", "--tokens", "5.11e11"],
+        "--target-n": ["dense-baseline", "--zeta", "128", "--alpha", "2.69"],
+        "--target-ra": ["search", "--target-n", "6.52e9"],
+        "--zeta": ["search", "--target-n", "6.52e9", "--target-ra", "0.2"],
+        "--mu": ["search", "--target-n", "6.52e9", "--target-ra", "0.2"],
+        "--alpha": ["dense-baseline", "--target-n", "6.48e9", "--zeta", "128"],
+        "--ra": ["fit-hparams", "--from-fixture", "moe_2b_fixed_data", "--target", "eta"],
+        "--value": ["sweep", "--fixed", "d", "--shapes-file", "{sweep}"],
+        "--tolerance": ["grad-check", "--trials", "1"],
+        "--lam": ["grad-check", "--trials", "1"],
+    }
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-1", "1.5", "1e400", "",
+                                       "abc", str(2**70 + 1)])
+    @pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS))
+    def test_count_and_real_flags(self, tmp_path, moe_shape_file, flag, token):
+        sweep = tmp_path / "shapes.json"
+        sweep.write_text(json.dumps([{"shape": MOE_7B_SHAPE, "eta": 1e-3, "B": 24}]))
+        argv = [a.format(moe=moe_shape_file, sweep=sweep) for a in self.FLAG_COMMANDS[flag]]
+        result = dispatch(argv + [f"{flag}={token}"])
+        # a valid but huge lam (2**70 + 1) fails the gradient check numerically: exit 3
+        codes = (0, 1, 2, 3) if argv[0] == "grad-check" else (0, 1, 2)
+        assert result.exit_code in codes, result.diagnostics
+        if result.exit_code == 1:
+            assert result.payload == ""
+        if result.exit_code == 0 or result.payload:
+            json.loads(result.payload)
+
+    def test_compute_budget_round_trips_beyond_float_precision(self, moe_shape_file):
+        fwd = derive_budget(shape_from_json(MOE_7B_SHAPE)).fwd_flops_per_token
+        tokens = 2**61 + 12345
+        result = dispatch(["budget", "--compute", str(3 * fwd * tokens),
+                           "--shape-file", moe_shape_file])
+        assert result.exit_code == 0
+        assert json.loads(result.payload)["budget"]["D"] == tokens
+
+
+class TestDefaultsStatedOnce:
+    """A flag or key left out takes the default of the dataclass that owns it."""
+
+    def test_grad_check(self):
+        assert json.loads(dispatch(["grad-check"]).payload) == \
+            grad_check(GradCheckSettings()).to_json_dict()
+
+    def test_search(self):
+        result = dispatch(["search", "--target-n", "6.52e9", "--target-ra", "0.2"])
+        assert json.loads(result.payload) == \
+            search(SearchSpec(int(6.52e9), 0.2)).to_json_dict()
+
+    def test_train_toy(self, tmp_path):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"steps": 5}))
+        result = dispatch(["train-toy", "--config", str(config)])
+        assert json.loads(result.payload) == \
+            run_toy_training(ToyTrainConfig(steps=5)).summary_dict()
 
 
 class TestPayloads:

@@ -1,10 +1,12 @@
 """Golden-table replay: residual gates, fault injection, directory plumbing."""
 
+import json
 import shutil
 
 import pytest
 
 from moebudget.arch import MoEShape, derive_budget
+from moebudget.cli import dispatch
 from moebudget.fixtures import (
     FIXTURES_ENV_VAR,
     FixtureError,
@@ -103,3 +105,23 @@ def test_loose_table_consumes_double_the_unique_tokens():
     table = load_table("moe_7b_loose_reuse")
     for row in table.rows:
         assert table.row_tokens(row) == 2 * int(row["D_hat"])
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda entry: entry.pop("file"), id="no-file"),
+    pytest.param(lambda entry: entry.pop("layers"), id="no-layers"),
+    pytest.param(lambda entry: entry.update(layers="abc"), id="string-layers"),
+    pytest.param(lambda entry: entry.update(layers=24.5), id="fractional-layers"),
+    pytest.param(lambda entry: entry.update(kind="sparse"), id="unknown-kind"),
+])
+def test_corrupt_index_entry_is_a_validation_error(tmp_path, edit):
+    for item in fixtures_dir().iterdir():
+        shutil.copy(item, tmp_path / item.name)
+    index = json.loads((tmp_path / "tables.json").read_text())
+    edit(index["moe_7b_fixed_compute"])
+    (tmp_path / "tables.json").write_text(json.dumps(index))
+    result = dispatch(["validate-fixtures", "--dir", str(tmp_path),
+                       "--table", "moe_7b_fixed_compute"])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics and "\n" not in result.diagnostics
