@@ -6,8 +6,14 @@ verified manual backward pass (`kernel`), constrained configuration search
 (`search`), experiment planning with data-reuse schedules and hyperparameter
 power-law refits (`planner`), and desk-scale synthetic training (`toylab`).
 Golden fixture tables ship with the package and replay through
-`validate_fixture_tables`.
+`validate_fixture_tables`. Every error class derives from `MoebudgetError`.
+
+`kernel` and `toylab`, and numpy with them, load on first use of one of
+their names, so the budget and planning surfaces stay numpy-free.
 """
+
+import importlib
+from typing import Any
 
 from .arch import (
     ARRANGEMENTS,
@@ -15,7 +21,6 @@ from .arch import (
     DenseShape,
     DerivedBudget,
     MoEShape,
-    ShapeError,
     activation_rate,
     compute_ratio,
     dense_fwd_flops,
@@ -28,9 +33,21 @@ from .arch import (
     shape_to_json,
     training_compute,
 )
+from .errors import (
+    CliUsageError,
+    DivergenceError,
+    FixtureError,
+    IdentifiabilityError,
+    InfeasibleSpecError,
+    KernelError,
+    MoebudgetError,
+    PlannerError,
+    SearchSpecError,
+    ShapeError,
+    ToyConfigError,
+)
 from .fixtures import (
     FIXTURES_ENV_VAR,
-    FixtureError,
     FixtureTable,
     ValidationReport,
     fixtures_dir,
@@ -38,27 +55,7 @@ from .fixtures import (
     table_names,
     validate_fixture_tables,
 )
-from .kernel import (
-    BalanceStats,
-    BlockParams,
-    GateOutput,
-    GradCheckSettings,
-    KernelError,
-    Layout,
-    LossBundle,
-    balance_stats,
-    gate_forward,
-    grad_check,
-    init_block_params,
-    load_checkpoint,
-    moe_batch_backward,
-    moe_batch_forward,
-    save_checkpoint,
-    total_loss,
-)
 from .planner import (
-    IdentifiabilityError,
-    PlannerError,
     PowerLawFit,
     ReusePlan,
     SweepPlan,
@@ -73,21 +70,27 @@ from .planner import (
 )
 from .search import (
     ConfigCandidate,
-    InfeasibleSpecError,
-    SearchSpecError,
     SearchResult,
     SearchSpec,
     dense_baseline,
     search,
 )
-from .toylab import (
-    DivergenceError,
-    GatingComparison,
-    ToyTask,
-    ToyTrainConfig,
-    TrainReport,
-    compare_gating,
-    run_toy_training,
-)
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "kernel": ("BalanceStats", "BlockParams", "GateOutput", "GradCheckSettings", "Layout",
+               "LossBundle", "balance_stats", "gate_forward", "grad_check",
+               "init_block_params", "load_checkpoint", "moe_batch_backward",
+               "moe_batch_forward", "save_checkpoint", "total_loss"),
+    "toylab": ("GatingComparison", "ToyTask", "ToyTrainConfig", "TrainReport",
+               "compare_gating", "run_toy_training"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

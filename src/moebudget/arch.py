@@ -14,11 +14,9 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .errors import ShapeError
+
 ARRANGEMENTS = ("full", "one_dense", "interleave")
-
-
-class ShapeError(ValueError):
-    """A shape or budget violates one of its structural invariants."""
 
 
 def _require(cond: bool, message: str) -> None:

@@ -19,23 +19,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import arch, fixtures, kernel, planner, toylab
-from .search import (
-    InfeasibleSpecError,
-    SearchSpec,
-    SearchSpecError,
-    dense_baseline,
-    search,
-)
+from . import arch, fixtures, planner
+from .errors import CliUsageError, MoebudgetError
+from .search import SearchSpec, dense_baseline, search
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
-
-
-class CliUsageError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,6 +250,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
+    from . import kernel  # numpy loads only for the commands that compute with it
     settings = kernel.GradCheckSettings(**_given(args))
     report = kernel.grad_check(settings)
     obj = report.to_json_dict()
@@ -271,6 +263,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
+    from . import toylab
     config = toylab.toy_config_from_json(_read_json(args.config, "config file"))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -417,22 +410,11 @@ def build_parser() -> _Parser:
 
 def dispatch(argv: Sequence[str]) -> CommandResult:
     """Run one command; never raises for expected failure modes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliUsageError as exc:
-        return CommandResult(EXIT_VALIDATION, "", str(exc))
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
-        return CommandResult(EXIT_VALIDATION, "", str(exc))
-    except InfeasibleSpecError as exc:
-        return CommandResult(EXIT_INFEASIBLE, "", f"infeasible: {exc}")
-    except (arch.ShapeError, kernel.KernelError, toylab.ToyConfigError,
-            fixtures.FixtureError, planner.PlannerError, SearchSpecError) as exc:
-        return CommandResult(EXIT_VALIDATION, "", str(exc))
-    except toylab.DivergenceError as exc:
-        return CommandResult(EXIT_NUMERICAL, "", str(exc))
+    except MoebudgetError as exc:
+        return CommandResult(exc.exit_code, "", f"{exc.prefix}{exc}")
     except OSError as exc:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
 

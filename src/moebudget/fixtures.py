@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .arch import DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, shape_from_json
+from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, json_value,
+                   shape_from_json)
+from .errors import FixtureError
 from .planner import iterations
 
 FIXTURES_ENV_VAR = "MOEBUDGET_FIXTURES"
@@ -30,10 +32,6 @@ REL_TOL = 0.02
 RA_TOL_PERCENT = 0.5
 ITERS_REL_TOL = 0.005
 EPOCH_ABS_TOL = 0.02
-
-
-class FixtureError(ValueError):
-    """A fixture file is missing, unreadable, or structurally corrupt."""
 
 
 def fixtures_dir(override: str | os.PathLike | None = None) -> Path:
@@ -63,6 +61,8 @@ class FixtureTable:
         obj = {key: self.meta[name] for key, name in DENSE_KEYS + MOE_KEYS
                if name in self.meta}
         if self.kind == "dense":
+            if not row["H"] >= 1:
+                raise FixtureError(f"{self.name}: H must be >= 1, got {row['H']}")
             obj.update(L=row["L"], D_m=row["D_m"], D_ffn=row["D_ffn"], H=row["H"],
                        D_h=row["D_m"] // row["H"])
         else:
@@ -188,9 +188,21 @@ def _rel(computed: float, expected: float) -> float:
     return abs(computed - expected) / abs(expected)
 
 
+def _meta_count(table: FixtureTable, key: str) -> float:
+    """A positive number the index entry must hold for validation."""
+    if key not in table.meta:
+        raise FixtureError(f"index entry {table.name!r} needs {key!r} to be validated")
+    value = json_value(key, table.meta[key], "float", FixtureError)
+    if not value > 0:
+        raise FixtureError(f"{key} must be > 0, got {value}")
+    return value
+
+
 def validate_table(table: FixtureTable) -> ValidationReport:
     """Recompute every derivable column of a table and collect residuals."""
     report = ValidationReport()
+    total = _meta_count(table, "total_params") if table.kind == "moe" else None
+    unique = _meta_count(table, "unique_tokens") if table.reuse_scheme == "strict" else None
 
     def check(row_idx: int, fname: str, expected: float, computed: float,
               limit: float, absolute: bool = False) -> None:
@@ -208,7 +220,7 @@ def validate_table(table: FixtureTable) -> ValidationReport:
         if table.kind == "dense":
             check(idx, "N", row["N"], budget.total_params, REL_TOL)
         else:
-            check(idx, "N", table.meta["total_params"], budget.total_params, REL_TOL)
+            check(idx, "N", total, budget.total_params, REL_TOL)
             check(idx, "N_a", row["N_a"], budget.active_params, REL_TOL)
             check(idx, "r_a", row["r_a"], 100.0 * budget.activation_rate,
                   RA_TOL_PERCENT, absolute=True)
@@ -219,9 +231,8 @@ def validate_table(table: FixtureTable) -> ValidationReport:
         check(idx, "Iters", row["Iters"], iterations(tokens, int(row["B"]), shape.seq_len),
               ITERS_REL_TOL)
 
-        if table.reuse_scheme == "strict":
-            epochs = tokens / float(table.meta["unique_tokens"])
-            check(idx, "Epoch", row["Epoch"], epochs, EPOCH_ABS_TOL, absolute=True)
+        if unique is not None:
+            check(idx, "Epoch", row["Epoch"], tokens / unique, EPOCH_ABS_TOL, absolute=True)
 
     return report
 

@@ -39,11 +39,10 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .arch import json_value
+from .errors import KernelError
+
 TIE_EPS = 1e-9
-
-
-class KernelError(ValueError):
-    """Invalid kernel parameters or mismatched operand shapes."""
 
 
 class TieProximityWarning(UserWarning):
@@ -520,9 +519,9 @@ def load_checkpoint(path: str | Path) -> tuple[BlockParams, int | None]:
         name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         for name, entry in manifest["params"].items()
     }
-    params = BlockParams.from_arrays(arrays, int(manifest["top_k"]),
-                                     bool(manifest["normalized"]))
-    return params, manifest.get("seed")
+    top_k = json_value("top_k", manifest.get("top_k"), "int", KernelError)
+    normalized = json_value("normalized", manifest.get("normalized"), "bool", KernelError)
+    return BlockParams.from_arrays(arrays, top_k, normalized), manifest.get("seed")
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +554,7 @@ class GradCheckSettings:
                                ("model_dim", self.model_dim >= 1, ">= 1"),
                                ("expert_dim", self.expert_dim >= 1, ">= 1"),
                                ("shared_dim", self.shared_dim >= 0, ">= 0"),
+                               ("seed", self.seed >= 0, ">= 0"),
                                ("trials", self.trials >= 1, ">= 1"),
                                ("lam", self.lam >= 0, ">= 0"),
                                ("tolerance", self.tolerance > 0, "> 0")):

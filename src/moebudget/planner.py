@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value
+from .errors import IdentifiabilityError, PlannerError
 
 # Recipe constants shared by every plan; recorded in plan metadata, the
 # schedule itself is not simulated.
@@ -30,14 +29,6 @@ WARMUP_MIN = 200
 WARMUP_MAX = 2000
 BATCH_MULTIPLE = 8
 FIXED_COMPUTE_BAND = 0.03
-
-
-class PlannerError(ValueError):
-    """Invalid planning inputs."""
-
-
-class IdentifiabilityError(PlannerError):
-    """The power-law design matrix cannot pin down the requested exponents."""
 
 
 def tokens_for_compute(train_compute: float, fwd_flops_per_token: float) -> int:
@@ -156,6 +147,7 @@ def fit_hparam_power_law(points: Sequence[tuple[float, float, float]]) -> PowerL
     residual) is legitimate — but fewer points than free parameters, or a
     collinear ln N / ln D design, raises IdentifiabilityError.
     """
+    import numpy as np  # the rest of the planner is numpy-free
     pts = [(float(n), float(d), float(v)) for n, d, v in points]
     if not pts:
         raise IdentifiabilityError("no points supplied")

@@ -25,6 +25,7 @@ from .arch import (
     derive_budget,
     layer_split,
 )
+from .errors import InfeasibleSpecError, SearchSpecError
 
 __all__ = [
     "SearchSpec", "ConfigCandidate", "SearchResult", "SearchSpecError",
@@ -32,17 +33,15 @@ __all__ = [
 ]
 
 
-class SearchSpecError(ValueError):
-    """A search spec field is out of its allowed domain."""
-
-
-class InfeasibleSpecError(ValueError):
-    """No integer configuration satisfies the spec; the message names why."""
-
-
 _SEARCH_MAX_LAYERS = 160
 _DENSE_MAX_LAYERS = 256
 _DENSE_TOLERANCE = 0.02
+
+
+def _too_large(layers: int) -> SearchSpecError:
+    # the exact-int parameter count overflowed where it met a float ratio
+    return SearchSpecError(f"the shape at {layers} layers is too large to compare with "
+                           f"target_params; a ratio is too large")
 
 
 def _snap(value: float, multiple: int) -> int:
@@ -84,6 +83,8 @@ class SearchSpec:
             raise SearchSpecError("need 1 <= k_min <= k_max")
         if self.head_dim < 1 or self.expert_dim_multiple < 1:
             raise SearchSpecError("head_dim and expert_dim_multiple must be >= 1")
+        if self.max_candidates < 1:
+            raise SearchSpecError(f"max_candidates must be >= 1, got {self.max_candidates}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,12 @@ def _layer_grid(spec: SearchSpec) -> list[tuple[int, int, int, int, int]]:
         model_dim = max(spec.head_dim, _snap(spec.aspect_ratio * layers, spec.head_dim))
         ffn_dim = max(16, _snap(alpha * model_dim, 16))
         moe_layers, dense_layers = layer_split(layers, spec.arrangement)
-        ideal = model_dim * model_dim * (
-            (4 + 3 * mu) * moe_layers
-            + (4 + 3 * ffn_dim / model_dim) * dense_layers)
+        try:
+            ideal = model_dim * model_dim * (
+                (4 + 3 * mu) * moe_layers
+                + (4 + 3 * ffn_dim / model_dim) * dense_layers)
+        except OverflowError:
+            raise _too_large(layers) from None
         rel = abs(ideal - spec.target_params) / spec.target_params
         grid.append((rel, layers, model_dim, ffn_dim, moe_layers, dense_layers))
     grid.sort()
@@ -237,7 +241,10 @@ def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
         shape = DenseShape(layers=layers, model_dim=model_dim, ffn_dim=ffn_dim,
                            heads=model_dim // head_dim, head_dim=head_dim,
                            seq_len=seq_len)
-        rel = abs(derive_budget(shape).total_params - target_params) / target_params
+        try:
+            rel = abs(derive_budget(shape).total_params - target_params) / target_params
+        except OverflowError:
+            raise _too_large(layers) from None
         if best is None or (rel, layers) < (best[0], best[1]):
             best = (rel, layers, shape)
     assert best is not None

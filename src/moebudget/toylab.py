@@ -29,6 +29,7 @@ from typing import Any
 import numpy as np
 
 from .arch import read_fields
+from .errors import DivergenceError, ToyConfigError
 from .kernel import (
     BlockParams,
     KernelError,
@@ -39,18 +40,6 @@ from .kernel import (
     moe_batch_forward,
     softmax_cross_entropy,
 )
-
-
-class ToyConfigError(ValueError):
-    """Invalid toy-training configuration."""
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; ``step`` names when."""
-
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -64,13 +53,14 @@ class ToyTask:
     concentration: float = 1.0  # sharper cluster distributions for larger values
 
     def __post_init__(self) -> None:
-        if self.clusters < 2:
-            raise ToyConfigError(f"clusters must be >= 2, got {self.clusters}")
-        if self.vocab < 2 or self.seq_len < 2:
-            raise ToyConfigError("vocab and seq_len must be >= 2")
-        if not 0 <= self.concentration < math.inf:
-            raise ToyConfigError(
-                f"concentration must be finite and >= 0, got {self.concentration}")
+        for name, ok, rule in (
+                ("clusters", self.clusters >= 2, ">= 2"),
+                ("vocab", self.vocab >= 2, ">= 2"),
+                ("seq_len", self.seq_len >= 2, ">= 2"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("concentration", 0 <= self.concentration < math.inf, "finite and >= 0")):
+            if not ok:
+                raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def cluster_distributions(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -118,7 +108,8 @@ class ToyTrainConfig:
                 ("model_dim", self.model_dim >= 1, ">= 1"),
                 ("expert_dim", self.expert_dim >= 1, ">= 1"),
                 ("experts", self.experts >= 1, ">= 1"),
-                ("shared_dim", self.shared_dim >= 0, ">= 0")):
+                ("shared_dim", self.shared_dim >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if not 1 <= self.top_k <= self.experts:

@@ -1,12 +1,16 @@
 """CLI dispatch: exit codes, payload formats, idempotence, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import moebudget
 from moebudget.arch import derive_budget, shape_from_json, shape_to_json
 from moebudget.cli import dispatch
 from moebudget.kernel import GradCheckSettings, grad_check
@@ -83,7 +87,7 @@ class TestExitCodes:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("flag,value", [
-        ("--trials", "0"), ("--lam", "-1"), ("--tolerance", "0"),
+        ("--trials", "0"), ("--lam", "-1"), ("--tolerance", "0"), ("--seed", "-1"),
     ])
     def test_invalid_grad_check_settings(self, flag, value):
         result = dispatch(["grad-check", flag, value])
@@ -105,7 +109,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field,value", [
         ("model_dim", 0), ("expert_dim", 0), ("lr", "nan"), ("momentum", "inf"),
-        ("batch_sequences", 0),
+        ("batch_sequences", 0), ("seed", -1),
         # json.dumps writes a float NaN as the bare NaN literal
         pytest.param("lr", float("nan"), id="lr-NaN-literal"),
         pytest.param("concentration", float("nan"), id="concentration-NaN-literal"),
@@ -131,6 +135,34 @@ class TestExitCodes:
         assert result.payload == ""
         assert "not finite" in result.diagnostics
         assert "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("argv,message", [
+        (["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--limit", "-1"],
+         "max_candidates must be >= 1, got -1"),
+        (["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--limit", "0"],
+         "max_candidates must be >= 1, got 0"),
+        (["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--zeta", "1e300",
+          "--mu", "21"], "the shape at 2 layers is too large"),
+        (["dense-baseline", "--target-n", "6e9", "--zeta", "1e200", "--alpha", "2"],
+         "the shape at 1 layers is too large"),
+    ])
+    def test_out_of_domain_flag_is_a_validation_error(self, argv, message):
+        result = dispatch(argv)
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics.startswith(message)
+        assert "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("config,flags", [
+        ({"task_seed": -1}, []), ({}, ["--seed", "-1"]),
+    ])
+    def test_negative_toy_seed_is_a_validation_error(self, tmp_path, config, flags):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps({**config, "steps": 1}))
+        result = dispatch(["train-toy", "--config", str(path), *flags])
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics == "seed must be >= 0, got -1"
 
 
 def _assert_rejected(result):
@@ -392,3 +424,55 @@ class TestIdempotence:
         first = dispatch(["train-toy", "--config", str(config)])
         second = dispatch(["train-toy", "--config", str(config)])
         assert first.payload == second.payload
+
+
+# Runs each command through cli.main in the interpreter it is started in and
+# prints its exit code and which of the numpy-backed modules it loaded.
+_PROBE = """
+import contextlib, io, json, sys
+from moebudget.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, [m for m in ("numpy", "moebudget.kernel", "moebudget.toylab")
+                             if m in sys.modules]]))
+"""
+
+
+class TestNumpyFreeCommands:
+    """The bookkeeping commands never import numpy, kernel or toylab."""
+
+    def test_planning_commands_leave_numpy_unloaded(self, tmp_path, moe_shape_file):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([{"shape": MOE_7B_SHAPE, "eta": 1e-3, "B": 512}]))
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"steps": 2}))
+        planning = [
+            ["plan", "moe", "--shape-file", moe_shape_file, "--tokens", "1e9"],
+            ["budget", "--compute", "2.86e21", "--shape-file", moe_shape_file],
+            ["search", "--target-n", "6.52e9", "--target-ra", "0.2"],
+            ["dense-baseline", "--target-n", "6.52e9", "--zeta", "128", "--alpha", "2.7"],
+            ["reuse", "--scheme", "loose", "--tokens", "1000000"],
+            ["validate-fixtures", "--table", "dense_baselines"],
+            ["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", str(shapes)],
+        ]
+        numeric = [
+            ["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
+            ["grad-check", "--trials", "1"],
+            ["train-toy", "--config", str(config)],
+        ]
+        src = str(Path(moebudget.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # one fresh interpreter per planning command, all started before any is awaited
+        batches = [[argv] for argv in planning] + [numeric]
+        procs = [subprocess.Popen([sys.executable, "-c", _PROBE, json.dumps(batch)],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for batch in batches]
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+        results = [json.loads(line) for out, _ in outputs for line in out.splitlines()]
+        assert len(results) == len(planning) + len(numeric), [err for _, err in outputs]
+        for argv, (code, loaded) in zip(planning, results):
+            assert (argv[0], code, loaded) == (argv[0], 0, [])
+        for argv, (code, _) in zip(numeric, results[len(planning):]):
+            assert (argv[0], code) == (argv[0], 0)

@@ -107,6 +107,11 @@ def test_loose_table_consumes_double_the_unique_tokens():
         assert table.row_tokens(row) == 2 * int(row["D_hat"])
 
 
+def copy_tables(directory):
+    for item in fixtures_dir().iterdir():
+        shutil.copy(item, directory / item.name)
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda entry: entry.pop("file"), id="no-file"),
     pytest.param(lambda entry: entry.pop("layers"), id="no-layers"),
@@ -115,8 +120,7 @@ def test_loose_table_consumes_double_the_unique_tokens():
     pytest.param(lambda entry: entry.update(kind="sparse"), id="unknown-kind"),
 ])
 def test_corrupt_index_entry_is_a_validation_error(tmp_path, edit):
-    for item in fixtures_dir().iterdir():
-        shutil.copy(item, tmp_path / item.name)
+    copy_tables(tmp_path)
     index = json.loads((tmp_path / "tables.json").read_text())
     edit(index["moe_7b_fixed_compute"])
     (tmp_path / "tables.json").write_text(json.dumps(index))
@@ -125,3 +129,42 @@ def test_corrupt_index_entry_is_a_validation_error(tmp_path, edit):
     assert result.exit_code == 1
     assert result.payload == ""
     assert result.diagnostics and "\n" not in result.diagnostics
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    pytest.param("moe_7b_fixed_compute", lambda entry: entry.pop("total_params"),
+                 "needs 'total_params'", id="no-total-params"),
+    pytest.param("moe_7b_fixed_compute", lambda entry: entry.update(total_params="6.52e9"),
+                 "total_params must be float", id="string-total-params"),
+    pytest.param("moe_7b_strict_reuse", lambda entry: entry.pop("unique_tokens"),
+                 "needs 'unique_tokens'", id="no-unique-tokens"),
+    pytest.param("moe_7b_strict_reuse", lambda entry: entry.update(unique_tokens=0),
+                 "unique_tokens must be > 0", id="zero-unique-tokens"),
+])
+def test_index_entry_lacking_a_validation_count_is_a_fixture_error(tmp_path, name, edit,
+                                                                    message):
+    copy_tables(tmp_path)
+    index = json.loads((tmp_path / "tables.json").read_text())
+    edit(index[name])
+    (tmp_path / "tables.json").write_text(json.dumps(index))
+    with pytest.raises(FixtureError, match=message):
+        validate_table(load_table(name, tmp_path))
+    result = dispatch(["validate-fixtures", "--dir", str(tmp_path), "--table", name])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert message in result.diagnostics and "\n" not in result.diagnostics
+
+
+def test_dense_row_with_zero_heads_is_a_fixture_error(tmp_path):
+    copy_tables(tmp_path)
+    path = tmp_path / "dense_baselines.csv"
+    header, first, *rest = path.read_text().splitlines()
+    cells = dict(zip(header.split(","), first.split(",")))
+    cells["H"] = "0"
+    path.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n")
+    with pytest.raises(FixtureError, match="H must be >= 1"):
+        validate_table(load_table("dense_baselines", tmp_path))
+    result = dispatch(["validate-fixtures", "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics == "dense_baselines: H must be >= 1, got 0.0"

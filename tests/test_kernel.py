@@ -1,6 +1,7 @@
 """Gating, block forward, balance statistics, losses, and checkpointing."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -301,6 +302,20 @@ class TestCheckpoint:
         save_checkpoint(params, path, seed=7)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             "ec33487ea98c678ba306a857d2a4cb615468ba60be91946cf056aadf8c9df6a0"
+
+    @pytest.mark.parametrize("key,value", [
+        ("normalized", "false"), ("normalized", 0), ("top_k", "2"), ("top_k", 2.5),
+        ("top_k", None),
+    ])
+    def test_manifest_scalars_are_read_strictly(self, tmp_path, key, value):
+        params = init_block_params(np.random.default_rng(7), 3, 2, 4, 2, 3, True)
+        path = tmp_path / "block.json"
+        save_checkpoint(params, path, seed=7)
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(KernelError, match=f"{key} must be"):
+            load_checkpoint(path)
 
 
 class TestLayout:

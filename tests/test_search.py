@@ -89,6 +89,9 @@ class TestSearch:
         with pytest.raises(SearchSpecError, match="aspect_ratio"):
             SearchSpec(target_params=10**9, target_activation_rate=0.2,
                        aspect_ratio=-1.0)
+        # a limit of -1 used to slice off the last candidate, 0 to read as infeasible
+        with pytest.raises(SearchSpecError, match="max_candidates must be >= 1"):
+            spec_7b(max_candidates=-1)
 
 
 class TestDenseBaseline:
