@@ -198,7 +198,7 @@ def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
             ra_filter=args.ra)
         obj["alt_n_column_residual_rms"] = planner.fit_hparam_power_law(
             alt_points).residual_rms
-    except (planner.PlannerError, KeyError):
+    except planner.PlannerError:
         obj["alt_n_column_residual_rms"] = None
     payload = _flat_csv(obj) if args.format == "csv" else _json_payload(obj)
     return CommandResult(EXIT_OK, payload)

@@ -44,6 +44,17 @@ def fixtures_dir(override: str | os.PathLike | None = None) -> Path:
     return _PACKAGED_DIR
 
 
+class FixtureRow(dict):
+    """One parsed CSV row; reading a column it lacks is a FixtureError naming it."""
+
+    def __init__(self, table: str, values: dict[str, float]) -> None:
+        super().__init__(values)
+        self.table = table
+
+    def __missing__(self, column: str) -> float:
+        raise FixtureError(f"fixture table {self.table!r} has no column {column!r}")
+
+
 @dataclass(frozen=True)
 class FixtureTable:
     name: str
@@ -121,7 +132,7 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
                     raise FixtureError(
                         f"{csv_path}:{line_no}: non-numeric value {value!r} in column {key}"
                     ) from None
-            rows.append(parsed)
+            rows.append(FixtureRow(name, parsed))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")
     return FixtureTable(
@@ -206,6 +217,9 @@ def validate_table(table: FixtureTable) -> ValidationReport:
 
     def check(row_idx: int, fname: str, expected: float, computed: float,
               limit: float, absolute: bool = False) -> None:
+        if not absolute and expected == 0:
+            raise FixtureError(f"{table.name} row {row_idx}: {fname} is 0, which has no "
+                               "relative residual")
         residual = abs(computed - expected) if absolute else _rel(computed, expected)
         report.checks.append(RowCheck(
             table=table.name, row=row_idx, field=fname,

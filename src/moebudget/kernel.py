@@ -18,9 +18,11 @@ expert_dim); and, with a shared expert, ``shared.w_gate`` and ``shared.w_up``
 named arrays are views into theta, gradients come back flat in the same
 layout, and a checkpoint stores the named arrays.
 
-Batch evaluation groups tokens by expert in ascending expert order and
-accumulates gradients in that fixed order, so results are bit-stable across
-runs.
+Batch evaluation sorts the (token, expert) selections by expert, tokens
+ascending within each, gathers x once, and runs each expert's matmuls on its
+contiguous slice of those rows. The outputs and input gradients go back in
+top_k adds ranked by expert, so every token sums its experts in ascending
+order and results are bit-stable across runs.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences, evaluated for all perturbed
@@ -224,25 +226,33 @@ class BlockGrads:
 
 
 @dataclass
-class _ExpertCache:
-    token_idx: np.ndarray
-    pre_gate: np.ndarray   # a = x @ w_gate.T
-    pre_up: np.ndarray     # b = x @ w_up.T
+class SwiGLUCache:
+    """What the backward pass needs of silu(x @ w_gate.T) * (x @ w_up.T)."""
+
+    x: np.ndarray          # the rows the SwiGLU saw
+    up: np.ndarray         # b = x @ w_up.T
+    silu: np.ndarray       # silu(a), a = x @ w_gate.T
+    silu_grad: np.ndarray  # silu'(a)
     hidden: np.ndarray     # silu(a) * b
-    out: np.ndarray        # hidden @ w_down.T
 
 
 @dataclass
 class BlockCache:
+    """Forward state. Routed rows are grouped by expert, tokens ascending within
+    each; ``rank[j, t]`` is the row of token t's j-th lowest selected expert."""
+
     x: np.ndarray             # (n, model_dim)
     scores: np.ndarray        # (n, experts)
     mask: np.ndarray          # (n, experts) bool, True on selected
     gate_weights: np.ndarray  # (n, experts)
     selected_sum: np.ndarray  # (n, 1) sum of selected scores
-    per_expert: dict[int, _ExpertCache]
-    shared_pre_gate: np.ndarray | None
-    shared_pre_up: np.ndarray | None
-    shared_hidden: np.ndarray | None
+    expert: np.ndarray        # (n * top_k,) expert of each routed row
+    token: np.ndarray         # (n * top_k,) token of each routed row
+    spans: list[tuple[int, int, int]]  # (expert, first row, end row) if it has rows
+    rank: np.ndarray          # (top_k, n)
+    routed: SwiGLUCache       # over the routed rows
+    out: np.ndarray           # (n * top_k, model_dim) routed expert outputs
+    shared: SwiGLUCache | None
 
     @property
     def eval_counts(self) -> np.ndarray:
@@ -261,9 +271,12 @@ def _silu(z: np.ndarray) -> np.ndarray:
     return z * _sigmoid(z)
 
 
-def _silu_grad(z: np.ndarray) -> np.ndarray:
-    sig = _sigmoid(z)
-    return sig * (1.0 + z * (1.0 - sig))
+def _swiglu(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> SwiGLUCache:
+    """silu(a) * b from one sigmoid of a, with silu'(a) kept for the backward pass."""
+    sig = _sigmoid(a)
+    silu = a * sig
+    return SwiGLUCache(x=x, up=b, silu=silu, silu_grad=sig * (1.0 + a * (1.0 - sig)),
+                       hidden=silu * b)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -323,30 +336,28 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     p = params.views
     scores, mask, gate_weights, selected_sum = _batch_gate(p["gate.weight"], x, params.top_k,
                                                            params.normalized)
+    expert, token = np.nonzero(mask.T)  # grouped by expert, tokens ascending
+    ends = np.cumsum(np.bincount(expert, minlength=mask.shape[1])).tolist()
+    spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
+    rank = np.argsort(token, kind="stable").reshape(n, params.top_k).T
+    xs = x[token]
+    a = np.concatenate([xs[lo:hi] @ p["experts.w_gate"][e].T for e, lo, hi in spans])
+    b = np.concatenate([xs[lo:hi] @ p["experts.w_up"][e].T for e, lo, hi in spans])
+    routed = _swiglu(xs, a, b)
+    out = np.concatenate([routed.hidden[lo:hi] @ p["experts.w_down"][e].T
+                          for e, lo, hi in spans])
+    weighted = gate_weights[token, expert][:, None] * out
+    # rank-ordered adds keep each token's ascending-expert addition order
     y = np.zeros_like(x)
-    per_expert: dict[int, _ExpertCache] = {}
-    for i in range(params.expert_count):
-        idx = np.nonzero(mask[:, i])[0]
-        if idx.size == 0:
-            continue
-        xi = x[idx]
-        a = xi @ p["experts.w_gate"][i].T
-        b = xi @ p["experts.w_up"][i].T
-        hidden = _silu(a) * b
-        out = hidden @ p["experts.w_down"][i].T
-        y[idx] += gate_weights[idx, i, None] * out
-        per_expert[i] = _ExpertCache(token_idx=idx, pre_gate=a, pre_up=b,
-                                     hidden=hidden, out=out)
-    shared_a = shared_b = shared_h = None
+    for rows in rank:
+        y += weighted[rows]
+    shared = None
     if "shared.w_gate" in p:
-        shared_a = x @ p["shared.w_gate"].T
-        shared_b = x @ p["shared.w_up"].T
-        shared_h = _silu(shared_a) * shared_b
-        y += shared_h @ p["shared.w_down"].T
+        shared = _swiglu(x, x @ p["shared.w_gate"].T, x @ p["shared.w_up"].T)
+        y += shared.hidden @ p["shared.w_down"].T
     cache = BlockCache(x=x, scores=scores, mask=mask, gate_weights=gate_weights,
-                       selected_sum=selected_sum, per_expert=per_expert,
-                       shared_pre_gate=shared_a, shared_pre_up=shared_b,
-                       shared_hidden=shared_h)
+                       selected_sum=selected_sum, expert=expert, token=token,
+                       spans=spans, rank=rank, routed=routed, out=out, shared=shared)
     return y, cache
 
 
@@ -365,28 +376,30 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
     d_theta = np.zeros(params.layout.size)
     g = params.layout.views(d_theta)
 
-    if "shared.w_gate" in p:
+    if cache.shared is not None:
+        c = cache.shared
         dh = upstream @ p["shared.w_down"]
-        da = dh * cache.shared_pre_up * _silu_grad(cache.shared_pre_gate)
-        db = dh * _silu(cache.shared_pre_gate)
-        g["shared.w_down"][...] = upstream.T @ cache.shared_hidden
+        da, db = dh * c.up * c.silu_grad, dh * c.silu
+        g["shared.w_down"][...] = upstream.T @ c.hidden
         g["shared.w_gate"][...] = da.T @ x
         g["shared.w_up"][...] = db.T @ x
         d_x += da @ p["shared.w_gate"] + db @ p["shared.w_up"]
 
+    c, token, expert = cache.routed, cache.token, cache.expert
+    dys = upstream[token]
     d_gate_weights = np.zeros_like(cache.gate_weights)
-    for i, ec in sorted(cache.per_expert.items()):
-        idx = ec.token_idx
-        dy_i = upstream[idx]
-        d_gate_weights[idx, i] = np.einsum("nd,nd->n", dy_i, ec.out)
-        de = cache.gate_weights[idx, i, None] * dy_i
-        g["experts.w_down"][i] = de.T @ ec.hidden
-        dh = de @ p["experts.w_down"][i]
-        da = dh * ec.pre_up * _silu_grad(ec.pre_gate)
-        db = dh * _silu(ec.pre_gate)
-        g["experts.w_gate"][i] = da.T @ x[idx]
-        g["experts.w_up"][i] = db.T @ x[idx]
-        d_x[idx] += da @ p["experts.w_gate"][i] + db @ p["experts.w_up"][i]
+    d_gate_weights[token, expert] = np.einsum("nd,nd->n", dys, cache.out)
+    de = cache.gate_weights[token, expert][:, None] * dys
+    dh = np.concatenate([de[lo:hi] @ p["experts.w_down"][e] for e, lo, hi in cache.spans])
+    da, db = dh * c.up * c.silu_grad, dh * c.silu
+    for e, lo, hi in cache.spans:
+        g["experts.w_down"][e] = de[lo:hi].T @ c.hidden[lo:hi]
+        g["experts.w_gate"][e] = da[lo:hi].T @ c.x[lo:hi]
+        g["experts.w_up"][e] = db[lo:hi].T @ c.x[lo:hi]
+    d_xs = np.concatenate([da[lo:hi] @ p["experts.w_gate"][e] + db[lo:hi] @ p["experts.w_up"][e]
+                           for e, lo, hi in cache.spans])
+    for rows in cache.rank:
+        d_x += d_xs[rows]
 
     if params.normalized:
         # For selected scores, d g_j / d s_i = (delta_ij - g_j) / sum_selected;
@@ -452,10 +465,10 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
             f"and {targets.shape}")
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(n), targets]
-    ce = float(np.mean(log_z - picked))
-    probs = _softmax_rows(logits)
+    exp = np.exp(shifted)
+    z = exp.sum(axis=1, keepdims=True)
+    ce = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), targets]))
+    probs = exp / z
     probs[np.arange(n), targets] -= 1.0
     return ce, probs / n
 
@@ -613,8 +626,9 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 # Float64 entries per stacked forward: a chunk holds max(1, _FD_ENTRIES // P)
 # perturbed copies of the P checked entries, so scratch memory stays near
-# 8 * _FD_ENTRIES bytes unless one copy alone is larger.
-_FD_ENTRIES = 2**15
+# 8 * _FD_ENTRIES bytes unless one copy alone is larger; 2**18 was the fastest
+# budget of a 2**15..2**19 sweep.
+_FD_ENTRIES = 2**18
 
 
 def _stacked_totals(thetas: np.ndarray, layout: Layout, probe: np.ndarray, lam: float,

@@ -70,11 +70,21 @@ class ToyTask:
 
     def sample_batch(self, rng: np.random.Generator, sequences: int,
                      distributions: np.ndarray) -> np.ndarray:
+        """Row i is ``rng.choice(vocab, seq_len, p=distributions[cluster_i])`` with the
+        same draws: choice searches the normalized cumsum of p at uniform draws."""
+        p = np.asarray(distributions, dtype=np.float64)
+        if p.shape != (self.clusters, self.vocab) or not np.all(p >= 0) \
+                or not np.all(np.abs(p.sum(axis=1) - 1.0) <= np.sqrt(np.finfo(np.float64).eps)):
+            raise ToyConfigError(f"distributions must be ({self.clusters}, {self.vocab}) rows "
+                                 "of finite non-negative probabilities summing to 1")
         which = rng.integers(0, self.clusters, size=sequences)
+        uniform = rng.random((sequences, self.seq_len))
+        cdf = p.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
         batch = np.empty((sequences, self.seq_len), dtype=np.int64)
-        for row, cluster in enumerate(which):
-            batch[row] = rng.choice(self.vocab, size=self.seq_len,
-                                    p=distributions[cluster])
+        for cluster in range(self.clusters):
+            rows = which == cluster
+            batch[rows] = cdf[cluster].searchsorted(uniform[rows], side="right")
         return batch
 
 

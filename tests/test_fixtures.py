@@ -1,5 +1,6 @@
 """Golden-table replay: residual gates, fault injection, directory plumbing."""
 
+import csv
 import json
 import shutil
 
@@ -168,3 +169,53 @@ def test_dense_row_with_zero_heads_is_a_fixture_error(tmp_path):
     assert result.exit_code == 1
     assert result.payload == ""
     assert result.diagnostics == "dense_baselines: H must be >= 1, got 0.0"
+
+
+def edit_csv(path, edit):
+    """Rewrite a fixture CSV through edit(list of row dicts) -> list of row dicts."""
+    with open(path, newline="") as fh:
+        rows = edit(list(csv.DictReader(fh)))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("argv,table,column", [
+    pytest.param(["validate-fixtures", "--table", "dense_baselines"], "dense_baselines", "M",
+                 id="validate-M"),
+    pytest.param(["validate-fixtures", "--table", "moe_7b_fixed_compute"],
+                 "moe_7b_fixed_compute", "N_a", id="validate-N_a"),
+    pytest.param(["validate-fixtures", "--table", "dense_baselines"], "dense_baselines", "H",
+                 id="validate-shape-H"),
+    pytest.param(["fit-hparams", "--from-fixture", "moe_2b_fixed_data", "--target", "eta"],
+                 "moe_2b_fixed_data", "eta", id="fit-eta"),
+    pytest.param(["fit-hparams", "--from-fixture", "moe_7b_fixed_data", "--target", "batch"],
+                 "moe_7b_fixed_data", "B", id="fit-B"),
+])
+def test_missing_column_is_a_fixture_error(tmp_path, argv, table, column):
+    copy_tables(tmp_path)
+    edit_csv(tmp_path / f"{table}.csv",
+             lambda rows: [{k: v for k, v in row.items() if k != column} for row in rows])
+    result = dispatch([*argv, "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics == f"fixture table {table!r} has no column {column!r}"
+
+
+@pytest.mark.parametrize("column", ["C", "M", "D/N"])
+def test_zero_budget_column_is_a_fixture_error(tmp_path, column):
+    copy_tables(tmp_path)
+
+    def zero_first_row(rows):
+        rows[0][column] = "0"
+        return rows
+
+    edit_csv(tmp_path / "moe_7b_fixed_compute.csv", zero_first_row)
+    with pytest.raises(FixtureError, match=f"row 0: {column} is 0"):
+        validate_table(load_table("moe_7b_fixed_compute", tmp_path))
+    result = dispatch(["validate-fixtures", "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics.startswith(f"moe_7b_fixed_compute row 0: {column} is 0")
+    assert "\n" not in result.diagnostics

@@ -188,7 +188,7 @@ def test_grad_check_report_is_chunk_invariant(monkeypatch, chunk):
     assert grad_check(CHUNK_SETTINGS) == default
 
 
-@pytest.mark.parametrize("budget", [kernel._FD_ENTRIES, 100])
+@pytest.mark.parametrize("budget", [kernel._FD_ENTRIES, 2**15, 100])
 def test_stacked_chunks_stay_within_entry_budget(monkeypatch, budget):
     seen = []
 
@@ -199,6 +199,7 @@ def test_stacked_chunks_stay_within_entry_budget(monkeypatch, budget):
     monkeypatch.setattr(kernel, "_stacked_totals", recording)
     monkeypatch.setattr(kernel, "_FD_ENTRIES", budget)
     grad_check(CHUNK_SETTINGS)
-    assert seen[0] == (max(1, budget // CHUNK_ENTRIES), CHUNK_ENTRIES)
+    # a budget above the 2P copies of a trial takes them all in one chunk
+    assert seen[0] == (min(max(1, budget // CHUNK_ENTRIES), 2 * CHUNK_ENTRIES), CHUNK_ENTRIES)
     assert sum(rows for rows, _ in seen) == 2 * 2 * CHUNK_ENTRIES  # two trials of 2P copies
     assert max(rows * cols for rows, cols in seen) <= max(CHUNK_ENTRIES, budget)

@@ -17,6 +17,7 @@ from moebudget.kernel import (
     gate_forward,
     init_block_params,
     load_checkpoint,
+    moe_batch_backward,
     moe_batch_forward,
     save_checkpoint,
     softmax_cross_entropy,
@@ -164,6 +165,86 @@ class TestBlockForward:
                                    expert_dim=2)
         with pytest.raises(KernelError, match="shape"):
             moe_batch_forward(params, np.zeros((1, 5)))
+
+
+def per_expert_reference(params, cache, upstream, extra):
+    """y, d_x and flat parameter gradients of the per-expert loop that grouped
+    dispatch replaced: one x[idx] gather and one y[idx] / d_x[idx] add per expert."""
+    def silu(z):
+        return z * _sigmoid(z)
+
+    def silu_grad(z):
+        sig = _sigmoid(z)
+        return sig * (1.0 + z * (1.0 - sig))
+
+    p, x = params.views, cache.x
+    y, d_x = np.zeros_like(x), np.zeros_like(x)
+    d_theta = np.zeros(params.layout.size)
+    g = params.layout.views(d_theta)
+    d_gate_weights = np.zeros_like(cache.gate_weights)
+    shared_hidden = None
+    if "shared.w_gate" in p:
+        a, b = x @ p["shared.w_gate"].T, x @ p["shared.w_up"].T
+        shared_hidden = silu(a) * b
+        dh = upstream @ p["shared.w_down"]
+        da, db = dh * b * silu_grad(a), dh * silu(a)
+        g["shared.w_down"][...] = upstream.T @ shared_hidden
+        g["shared.w_gate"][...] = da.T @ x
+        g["shared.w_up"][...] = db.T @ x
+        d_x += da @ p["shared.w_gate"] + db @ p["shared.w_up"]
+    for i in range(params.expert_count):
+        idx = np.nonzero(cache.mask[:, i])[0]
+        if idx.size == 0:
+            continue
+        xi, dy_i = x[idx], upstream[idx]
+        a, b = xi @ p["experts.w_gate"][i].T, xi @ p["experts.w_up"][i].T
+        hidden = silu(a) * b
+        out = hidden @ p["experts.w_down"][i].T
+        y[idx] += cache.gate_weights[idx, i, None] * out
+        d_gate_weights[idx, i] = np.einsum("nd,nd->n", dy_i, out)
+        de = cache.gate_weights[idx, i, None] * dy_i
+        g["experts.w_down"][i] = de.T @ hidden
+        dh = de @ p["experts.w_down"][i]
+        da, db = dh * b * silu_grad(a), dh * silu(a)
+        g["experts.w_gate"][i] = da.T @ xi
+        g["experts.w_up"][i] = db.T @ xi
+        d_x[idx] += da @ p["experts.w_gate"][i] + db @ p["experts.w_up"][i]
+    if shared_hidden is not None:
+        y += shared_hidden @ p["shared.w_down"].T
+    if params.normalized:
+        inner = (d_gate_weights * cache.gate_weights).sum(axis=1, keepdims=True)
+        d_scores = np.where(cache.mask, (d_gate_weights - inner) / cache.selected_sum, 0.0)
+    else:
+        d_scores = np.where(cache.mask, d_gate_weights, 0.0)
+    d_scores = d_scores + extra[None, :]
+    dot = (d_scores * cache.scores).sum(axis=1, keepdims=True)
+    d_logits = cache.scores * (d_scores - dot)
+    g["gate.weight"] += d_logits.T @ x
+    d_x += d_logits @ p["gate.weight"]
+    return y, d_x, d_theta
+
+
+@pytest.mark.parametrize("experts, top_k, normalized, shared_dim, n", [
+    (6, 1, False, 0, 40), (6, 1, False, 3, 3), (6, 2, False, 0, 2), (6, 2, True, 3, 40),
+    (6, 2, True, 0, 1), (5, 5, False, 4, 17), (5, 5, True, 0, 9), (8, 2, False, 16, 512)])
+def test_grouped_dispatch_is_bit_identical_to_per_expert_loop(experts, top_k, normalized,
+                                                               shared_dim, n):
+    rng = np.random.default_rng(experts * 100 + top_k * 10 + n)
+    params = init_block_params(rng, experts, top_k, 7, 4, shared_dim, normalized)
+    x = rng.normal(size=(n, 7))
+    upstream = rng.normal(size=(n, 7))
+    extra = rng.normal(size=experts)
+    y, cache = moe_batch_forward(params, x)
+    grads = moe_batch_backward(params, cache, upstream, extra_score_grad=extra)
+    ref_y, ref_dx, ref_theta = per_expert_reference(params, cache, upstream, extra)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(grads.x, ref_dx)
+    for name, view in params.layout.views(ref_theta).items():
+        assert np.array_equal(grads.views[name], view), name
+    idle = np.flatnonzero(cache.eval_counts == 0)
+    assert idle.size > 0 or n * top_k >= experts
+    for name in ("experts.w_gate", "experts.w_up", "experts.w_down"):
+        assert not grads.views[name][idle].any(), name
 
 
 class TestSelectionInvariance:

@@ -107,6 +107,47 @@ class TestCompareGating:
             compare_gating(dataclasses.replace(SHORT, top_k=1))
 
 
+def per_row_choice(task, rng, sequences, distributions):
+    # the sampler before vectorization: one Generator.choice per sequence
+    which = rng.integers(0, task.clusters, size=sequences)
+    batch = np.empty((sequences, task.seq_len), dtype=np.int64)
+    for row, cluster in enumerate(which):
+        batch[row] = rng.choice(task.vocab, size=task.seq_len, p=distributions[cluster])
+    return batch
+
+
+@pytest.mark.parametrize("concentration", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("sequences", [1, 8, 32])
+def test_sample_batch_matches_per_row_choice(concentration, sequences):
+    task = ToyTask(concentration=concentration)
+    distributions = task.cluster_distributions()
+    for seed in range(20):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = task.sample_batch(fast, sequences, distributions)
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, per_row_choice(task, slow, sequences, distributions))
+        # the generator is left where the per-row loop leaves it
+        assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("case", ["short-row", "negative", "nan", "inf", "sum-off"])
+def test_sample_batch_rejects_bad_distributions(case):
+    task = ToyTask(vocab=8, clusters=3)
+    distributions = task.cluster_distributions()
+    if case == "short-row":
+        distributions = distributions[:, :-1]
+    elif case == "negative":
+        distributions[1, :2] = [-0.25, distributions[1, 0] + distributions[1, 1] + 0.25]
+    elif case == "nan":
+        distributions[2, 3] = np.nan
+    elif case == "inf":
+        distributions[0, 0] = np.inf
+    else:
+        distributions[1] *= 1.001
+    with pytest.raises(ToyConfigError, match="distributions"):
+        task.sample_batch(np.random.default_rng(0), 4, distributions)
+
+
 def test_task_requires_clusters():
     with pytest.raises(ToyConfigError, match="clusters"):
         ToyTask(clusters=1)
