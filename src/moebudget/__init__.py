@@ -79,10 +79,9 @@ from .search import (
 __version__ = "0.1.0"
 
 _LAZY = {
-    "kernel": ("BalanceStats", "BlockParams", "GateOutput", "GradCheckSettings", "Layout",
-               "LossBundle", "balance_stats", "gate_forward", "grad_check",
-               "init_block_params", "load_checkpoint", "moe_batch_backward",
-               "moe_batch_forward", "save_checkpoint", "total_loss"),
+    "kernel": ("BalanceStats", "BlockParams", "GradCheckSettings", "Layout", "balance_stats",
+               "grad_check", "init_block_params", "load_checkpoint", "moe_batch_backward",
+               "moe_batch_forward", "save_checkpoint"),
     "toylab": ("GatingComparison", "ToyTask", "ToyTrainConfig", "TrainReport",
                "compare_gating", "run_toy_training"),
 }

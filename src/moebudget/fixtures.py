@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,6 +133,9 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
                     raise FixtureError(
                         f"{csv_path}:{line_no}: non-numeric value {value!r} in column {key}"
                     ) from None
+                if not math.isfinite(parsed[key]):
+                    raise FixtureError(
+                        f"{csv_path}:{line_no}: non-finite value {value!r} in column {key}")
             rows.append(FixtureRow(name, parsed))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")

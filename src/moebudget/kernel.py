@@ -18,11 +18,15 @@ expert_dim); and, with a shared expert, ``shared.w_gate`` and ``shared.w_up``
 named arrays are views into theta, gradients come back flat in the same
 layout, and a checkpoint stores the named arrays.
 
-Batch evaluation sorts the (token, expert) selections by expert, tokens
-ascending within each, gathers x once, and runs each expert's matmuls on its
-contiguous slice of those rows. The outputs and input gradients go back in
-top_k adds ranked by expert, so every token sums its experts in ascending
-order and results are bit-stable across runs.
+``moe_batch_forward`` is the one routing path. It records the batch's
+balance statistics (``balance_stats``) in its cache, and their integer
+selection tallies cut the expert spans: the (token, expert) selections are
+sorted by expert, tokens ascending within each, x is gathered once, and each
+expert's matmuls run on its contiguous slice of those rows. The outputs and
+input gradients go back in top_k adds ranked by expert, so every token sums
+its experts in ascending order and results are bit-stable across runs.
+``moe_batch_backward`` takes the balance-loss weight ``lam`` and adds the
+frozen-selection gradient of ``lam * balance_loss`` from the cached statistics.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences, evaluated for all perturbed
@@ -179,16 +183,6 @@ class BlockParams:
 
 
 @dataclass(frozen=True)
-class GateOutput:
-    """Routing result for one token."""
-
-    scores: np.ndarray        # (experts,) softmax probabilities
-    selected: tuple[int, ...]  # indices of the top_k largest scores
-    gate_weights: np.ndarray  # (experts,) zero off the selected set
-    normalized: bool
-
-
-@dataclass(frozen=True)
 class BalanceStats:
     """Batch-level routing statistics and the load-balance loss.
 
@@ -206,14 +200,6 @@ class BalanceStats:
     @property
     def load_fraction_total(self) -> float:
         return float(int(self.selection_counts.sum()) / self.batch_size)
-
-
-@dataclass(frozen=True)
-class LossBundle:
-    ce_loss: float
-    balance_loss: float
-    lam: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -244,6 +230,7 @@ class BlockCache:
     x: np.ndarray             # (n, model_dim)
     scores: np.ndarray        # (n, experts)
     mask: np.ndarray          # (n, experts) bool, True on selected
+    balance: BalanceStats     # of mask and scores
     gate_weights: np.ndarray  # (n, experts)
     selected_sum: np.ndarray  # (n, 1) sum of selected scores
     expert: np.ndarray        # (n * top_k,) expert of each routed row
@@ -253,11 +240,6 @@ class BlockCache:
     routed: SwiGLUCache       # over the routed rows
     out: np.ndarray           # (n * top_k, model_dim) routed expert outputs
     shared: SwiGLUCache | None
-
-    @property
-    def eval_counts(self) -> np.ndarray:
-        """Routed-expert evaluations per expert; sums to top_k * batch."""
-        return self.mask.sum(axis=0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -307,25 +289,11 @@ def _batch_gate(weight: np.ndarray, x: np.ndarray, top_k: int,
     return scores, mask, gate_weights, selected_sum
 
 
-def gate_forward(weight: np.ndarray, x: np.ndarray, top_k: int,
-                 normalized: bool = False) -> GateOutput:
-    """Route one token with an (experts, model_dim) gate weight matrix."""
-    weight = _as_matrix("gate weight", weight)
-    if weight.ndim != 2:
-        raise KernelError(f"gate weight must be 2-D, got {weight.ndim}-D")
-    _check_routing(weight.shape[0], top_k, normalized)
-    x = _as_matrix("x", x, (weight.shape[1],))
-    scores, mask, gate_weights, _ = _batch_gate(weight, x[None, :], top_k, normalized)
-    selected = tuple(int(i) for i in np.nonzero(mask[0])[0])
-    return GateOutput(scores=scores[0], selected=selected,
-                      gate_weights=gate_weights[0], normalized=normalized)
-
-
 def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, BlockCache]:
     """Evaluate the block on a (batch, model_dim) matrix of token activations.
 
-    Only the selected experts run; the cache records everything the backward
-    pass needs.
+    Only the selected experts run; the cache records the balance statistics
+    and everything the backward pass needs.
     """
     x = _as_matrix("x", x)
     if x.ndim != 2 or x.shape[1] != params.model_dim:
@@ -336,8 +304,9 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     p = params.views
     scores, mask, gate_weights, selected_sum = _batch_gate(p["gate.weight"], x, params.top_k,
                                                            params.normalized)
+    balance = balance_stats(mask, scores)
     expert, token = np.nonzero(mask.T)  # grouped by expert, tokens ascending
-    ends = np.cumsum(np.bincount(expert, minlength=mask.shape[1])).tolist()
+    ends = np.cumsum(balance.selection_counts).tolist()
     spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
     rank = np.argsort(token, kind="stable").reshape(n, params.top_k).T
     xs = x[token]
@@ -355,20 +324,17 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     if "shared.w_gate" in p:
         shared = _swiglu(x, x @ p["shared.w_gate"].T, x @ p["shared.w_up"].T)
         y += shared.hidden @ p["shared.w_down"].T
-    cache = BlockCache(x=x, scores=scores, mask=mask, gate_weights=gate_weights,
-                       selected_sum=selected_sum, expert=expert, token=token,
-                       spans=spans, rank=rank, routed=routed, out=out, shared=shared)
+    cache = BlockCache(x=x, scores=scores, mask=mask, balance=balance,
+                       gate_weights=gate_weights, selected_sum=selected_sum, expert=expert,
+                       token=token, spans=spans, rank=rank, routed=routed, out=out,
+                       shared=shared)
     return y, cache
 
 
 def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndarray,
-                       extra_score_grad: np.ndarray | None = None) -> BlockGrads:
-    """Backward pass under the frozen-selection convention.
-
-    ``upstream`` is dLoss/dy, shape (batch, model_dim). ``extra_score_grad``
-    is an optional (experts,) vector added to dLoss/dscores for every token;
-    the balance loss contributes through it.
-    """
+                       lam: float = 0.0) -> BlockGrads:
+    """Gradients of the loss behind ``upstream`` (dLoss/dy, shape (batch, model_dim))
+    plus ``lam * balance_loss``, under the frozen-selection convention."""
     upstream = _as_matrix("upstream", upstream, cache.x.shape)
     p = params.views
     x = cache.x
@@ -408,8 +374,11 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
         d_scores = np.where(cache.mask, (d_gate_weights - inner) / cache.selected_sum, 0.0)
     else:
         d_scores = np.where(cache.mask, d_gate_weights, 0.0)
-    if extra_score_grad is not None:
-        d_scores = d_scores + np.asarray(extra_score_grad, dtype=np.float64)[None, :]
+    if lam:
+        # d(balance)/d s_i(x) = experts * load_fraction_i / batch, selection frozen
+        stats = cache.balance
+        d_scores = d_scores + (lam * params.expert_count * stats.load_fraction
+                               / stats.batch_size)[None, :]
 
     dot = (d_scores * cache.scores).sum(axis=1, keepdims=True)
     d_logits = cache.scores * (d_scores - dot)
@@ -445,16 +414,6 @@ def balance_stats(mask: np.ndarray, scores: np.ndarray) -> BalanceStats:
                         batch_size=n, selection_counts=counts)
 
 
-def total_loss(logits: np.ndarray, targets: np.ndarray, balance: BalanceStats,
-               lam: float) -> LossBundle:
-    """Mean token cross-entropy (nats) plus lam times the balance loss."""
-    if lam < 0:
-        raise KernelError(f"lam must be >= 0, got {lam}")
-    ce, _ = softmax_cross_entropy(logits, targets)
-    return LossBundle(ce_loss=ce, balance_loss=balance.balance_loss, lam=lam,
-                      total=ce + lam * balance.balance_loss)
-
-
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy in nats and its gradient with respect to the logits."""
     logits = _as_matrix("logits", logits)
@@ -485,14 +444,8 @@ def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
         warnings.warn("Top-K selection is within TIE_EPS of a tie; "
                       "frozen-selection gradients are unreliable here",
                       TieProximityWarning, stacklevel=2)
-    stats = balance_stats(cache.mask, cache.scores)
-    total = float(np.sum(probe * y)) + lam * stats.balance_loss
-    extra = None
-    if lam != 0.0:
-        # d(balance)/d s_i(x) = experts * load_fraction_i / batch, selection frozen
-        extra = lam * params.expert_count * stats.load_fraction / stats.batch_size
-    grads = moe_batch_backward(params, cache, probe, extra_score_grad=extra)
-    return total, grads, stats
+    total = float(np.sum(probe * y)) + lam * cache.balance.balance_loss
+    return total, moe_batch_backward(params, cache, probe, lam), cache.balance
 
 
 # ---------------------------------------------------------------------------

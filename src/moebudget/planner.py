@@ -8,7 +8,7 @@ least-squares solve in log space, so identical inputs give identical plans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value
@@ -73,7 +73,6 @@ class ReusePlan:
     unique_tokens: int
     consumed_tokens: int
     epochs: float
-    shuffled_each_epoch: bool = True
     warning: str | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -82,7 +81,7 @@ class ReusePlan:
             "unique_tokens": self.unique_tokens,
             "consumed_tokens": self.consumed_tokens,
             "epochs": self.epochs,
-            "shuffled_each_epoch": self.shuffled_each_epoch,
+            "shuffled_each_epoch": True,
             "warning": self.warning,
         }
 
@@ -229,14 +228,13 @@ class SweepPlan:
     fixed: str          # "C" or "D"
     fixed_value: float
     rows: tuple[SweepRow, ...]
-    recipe: dict[str, Any] = field(default_factory=lambda: dict(TRAINING_RECIPE))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "fixed": self.fixed,
             "fixed_value": self.fixed_value,
             "rows": [r.to_json_dict() for r in self.rows],
-            "recipe": self.recipe,
+            "recipe": dict(TRAINING_RECIPE),
         }
 
     def validate(self) -> None:

@@ -34,7 +34,6 @@ from .kernel import (
     BlockParams,
     KernelError,
     Layout,
-    balance_stats,
     init_block_params,
     moe_batch_backward,
     moe_batch_forward,
@@ -163,7 +162,6 @@ class StepRecord:
 class TrainReport:
     config: ToyTrainConfig
     steps: tuple[StepRecord, ...]
-    optimizer: str
 
     @property
     def initial(self) -> StepRecord:
@@ -182,7 +180,7 @@ class TrainReport:
 
     def summary_dict(self) -> dict[str, Any]:
         return {
-            "optimizer": self.optimizer,
+            "optimizer": "sgd-momentum",
             "steps": len(self.steps) - 1,
             "initial_ce_loss": self.initial.ce_loss,
             "final_ce_loss": self.final.ce_loss,
@@ -235,7 +233,6 @@ def _forward_backward(model: _ToyModel, inputs: np.ndarray, targets: np.ndarray,
                       lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """One pass over flattened (input, next-token) pairs; returns losses, the
     routed-load histogram, and the gradient of theta in the model layout."""
-    n = inputs.shape[0]
     p = model.views
     h = p["embed"][inputs]
     m = h + h @ p["mix"].T
@@ -243,21 +240,18 @@ def _forward_backward(model: _ToyModel, inputs: np.ndarray, targets: np.ndarray,
     z = m + y
     logits = z @ p["head"].T
     ce, d_logits = softmax_cross_entropy(logits, targets)
-    stats = balance_stats(cache.mask, cache.scores)
 
     grad = np.zeros_like(model.theta)
     g = model.layout.views(grad)
     g["head"][...] = d_logits.T @ z
     dz = d_logits @ p["head"]
-    extra = lam * model.block.expert_count * stats.load_fraction / n if lam else None
-    block_grads = moe_batch_backward(model.block, cache, dz, extra_score_grad=extra)
+    block_grads = moe_batch_backward(model.block, cache, dz, lam)
     g["block"][...] = block_grads.theta
     dm = dz + block_grads.x
     g["mix"][...] = dm.T @ h
     dh = dm + dm @ p["mix"]
     np.add.at(g["embed"], inputs, dh)
-    histogram = cache.mask.sum(axis=0)
-    return ce, stats.balance_loss, histogram, grad
+    return ce, cache.balance.balance_loss, cache.balance.selection_counts, grad
 
 
 def _load_cv(histogram: np.ndarray) -> float:
@@ -306,7 +300,7 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
         records.append(StepRecord(step=step, ce_loss=ce, balance_loss=bal,
                                   expert_load_histogram=tuple(int(c) for c in hist),
                                   load_cv=_load_cv(hist)))
-    return TrainReport(config=config, steps=tuple(records), optimizer="sgd-momentum")
+    return TrainReport(config=config, steps=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -318,15 +312,6 @@ class GatingComparison:
         return {
             "non_normalized": self.non_normalized.mean_balance_loss(),
             "normalized": self.normalized.mean_balance_loss(),
-        }
-
-    def summary_dict(self) -> dict[str, Any]:
-        return {
-            "mean_balance_loss": self.mean_balance_losses(),
-            "final_ce_loss": {
-                "non_normalized": self.non_normalized.final.ce_loss,
-                "normalized": self.normalized.final.ce_loss,
-            },
         }
 
 

@@ -16,7 +16,6 @@ from moebudget.kernel import (
     BlockParams,
     GradCheckSettings,
     balance_stats,
-    gate_forward,
     grad_check,
     init_block_params,
     moe_batch_backward,
@@ -126,6 +125,16 @@ def _random_block(rng, normalized=False, min_experts=2):
     return params, x
 
 
+def route_one(logits, top_k):
+    """Forward cache of one token x = [[1.0]] whose gate logits are exactly `logits`,
+    through a block with zero expert weights."""
+    gate = np.asarray(logits, dtype=float).reshape(-1, 1)
+    zeros = np.zeros((gate.shape[0], 1, 1))
+    params = BlockParams.from_arrays({"gate.weight": gate, "experts.w_gate": zeros,
+                                      "experts.w_up": zeros, "experts.w_down": zeros}, top_k)
+    return moe_batch_forward(params, np.array([[1.0]]))[1]
+
+
 def test_criterion_4_sparsity_and_probabilities():
     rng = np.random.default_rng(41)
     for _ in range(CASES):
@@ -134,7 +143,7 @@ def test_criterion_4_sparsity_and_probabilities():
         _, cache = moe_batch_forward(params, x)
         # exactly top_k selected per token, and only those evaluated
         assert np.all(cache.mask.sum(axis=1) == params.top_k)
-        assert cache.eval_counts.sum() == params.top_k * x.shape[0]
+        assert cache.balance.selection_counts.sum() == params.top_k * x.shape[0]
         # softmax scores form a probability vector
         assert np.all(cache.scores >= 0.0)
         assert np.all(np.abs(cache.scores.sum(axis=1) - 1.0) <= 1e-12)
@@ -180,11 +189,9 @@ def test_criterion_4_scaling_selection_invariance():
             continue
         top_k = int(rng.integers(1, experts + 1))
         scale = float(rng.uniform(1.0001, 100.0))
-        gate = logits.reshape(-1, 1)
-        scaled = (scale * logits).reshape(-1, 1)
-        a = gate_forward(gate, np.array([1.0]), top_k)
-        b = gate_forward(scaled, np.array([1.0]), top_k)
-        assert a.selected == b.selected
+        a = route_one(logits, top_k)
+        b = route_one(scale * logits, top_k)
+        assert np.array_equal(a.mask, b.mask)
         done += 1
 
 
@@ -238,11 +245,11 @@ def test_criterion_4_uniform_routing_balance_floor():
     for _ in range(CASES):
         experts = int(rng.choice([2, 4, 8, 16]))
         top_k = int(rng.integers(1, experts + 1))
-        template = gate_forward(np.zeros((experts, 1)), np.array([1.0]), top_k)
+        template = route_one(np.zeros(experts), top_k)
         mask = np.zeros((experts, experts), dtype=bool)
         for t in range(experts):
             mask[t, [(top_k * t + j) % experts for j in range(top_k)]] = True
-        stats = balance_stats(mask, np.tile(template.scores, (experts, 1)))
+        stats = balance_stats(mask, np.tile(template.scores[0], (experts, 1)))
         assert np.ptp(stats.load_fraction) == 0.0
         assert stats.balance_loss == float(top_k)
 

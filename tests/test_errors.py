@@ -53,3 +53,11 @@ def test_dispatch_maps_each_class_to_its_exit_code(monkeypatch, module, name, ba
     assert result.payload == ""
     assert result.diagnostics == f"{cls.prefix}{exc}"
 
+
+def test_every_lazy_export_resolves():
+    # a stale entry in the lazy table would otherwise fail only when first used
+    for module, names in moebudget._LAZY.items():
+        owner = importlib.import_module(f"moebudget.{module}")
+        assert getattr(moebudget, module) is owner
+        for name in names:
+            assert getattr(moebudget, name) is getattr(owner, name), name

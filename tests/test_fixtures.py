@@ -219,3 +219,24 @@ def test_zero_budget_column_is_a_fixture_error(tmp_path, column):
     assert result.payload == ""
     assert result.diagnostics.startswith(f"moe_7b_fixed_compute row 0: {column} is 0")
     assert "\n" not in result.diagnostics
+
+
+@pytest.mark.parametrize("argv,column,value", [
+    pytest.param(["validate-fixtures"], "C", "nan", id="validate-C-nan"),
+    pytest.param(["validate-fixtures"], "D", "inf", id="validate-D-inf"),
+    pytest.param(["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
+                 "D", "inf", id="fit-D-inf"),
+])
+def test_non_finite_cell_is_a_fixture_error(tmp_path, argv, column, value):
+    copy_tables(tmp_path)
+    path = tmp_path / "moe_7b_fixed_compute.csv"
+
+    def set_first_row(rows):
+        rows[0][column] = value
+        return rows
+
+    edit_csv(path, set_first_row)
+    result = dispatch([*argv, "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics == f"{path}:2: non-finite value {value!r} in column {column}"

@@ -1,5 +1,6 @@
 """Gating, block forward, balance statistics, losses, and checkpointing."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,28 +15,28 @@ from moebudget.kernel import (
     KernelError,
     _sigmoid,
     balance_stats,
-    gate_forward,
     init_block_params,
     load_checkpoint,
     moe_batch_backward,
     moe_batch_forward,
     save_checkpoint,
     softmax_cross_entropy,
-    total_loss,
 )
 
 
-def logits_gate(values):
-    """Gate weight matrix whose logits for x=[1.0] are exactly `values`."""
-    return np.asarray(values, dtype=float).reshape(-1, 1)
+def route_one(logits, top_k, normalized=False):
+    """Forward cache of one token x = [[1.0]] whose gate logits are exactly `logits`,
+    through a block with zero expert weights."""
+    gate = np.asarray(logits, dtype=float).reshape(-1, 1)
+    zeros = np.zeros((gate.shape[0], 1, 1))
+    params = BlockParams.from_arrays({"gate.weight": gate, "experts.w_gate": zeros,
+                                      "experts.w_up": zeros, "experts.w_down": zeros},
+                                     top_k, normalized)
+    return moe_batch_forward(params, np.array([[1.0]]))[1]
 
 
-def routing(outs):
-    """Stacked (mask, scores) of single-token gate outputs, for balance_stats."""
-    mask = np.zeros((len(outs), outs[0].scores.size), dtype=bool)
-    for t, out in enumerate(outs):
-        mask[t, list(out.selected)] = True
-    return mask, np.stack([out.scores for out in outs])
+def selected(cache):
+    return tuple(np.flatnonzero(cache.mask[0]).tolist())
 
 
 def reference_softmax(values):
@@ -46,37 +47,36 @@ def reference_softmax(values):
 
 class TestGateForward:
     def test_non_normalized_scores(self):
-        out = gate_forward(logits_gate([2.0, 1.0, 0.0, -1.0]), np.array([1.0]), top_k=2)
+        out = route_one([2.0, 1.0, 0.0, -1.0], top_k=2)
+        gate_weights = out.gate_weights[0]
         expected = reference_softmax([2.0, 1.0, 0.0, -1.0])
-        assert out.selected == (0, 1)
-        assert np.allclose(out.gate_weights[:2], expected[:2], atol=5e-5)
-        assert np.allclose(out.gate_weights[:2], [0.6439, 0.2369], atol=5e-5)
-        assert out.gate_weights[2] == out.gate_weights[3] == 0.0
-        assert np.allclose(out.scores, expected)
+        assert selected(out) == (0, 1)
+        assert np.allclose(gate_weights[:2], expected[:2], atol=5e-5)
+        assert np.allclose(gate_weights[:2], [0.6439, 0.2369], atol=5e-5)
+        assert gate_weights[2] == gate_weights[3] == 0.0
+        assert np.allclose(out.scores[0], expected)
 
     def test_normalized_scores(self):
-        out = gate_forward(logits_gate([2.0, 1.0, 0.0, -1.0]), np.array([1.0]),
-                           top_k=2, normalized=True)
+        gate_weights = route_one([2.0, 1.0, 0.0, -1.0], top_k=2,
+                                 normalized=True).gate_weights[0]
         s = reference_softmax([2.0, 1.0, 0.0, -1.0])
         renorm = [s[0] / (s[0] + s[1]), s[1] / (s[0] + s[1])]
-        assert np.allclose(out.gate_weights[:2], renorm)
-        assert np.allclose(out.gate_weights[:2], [0.7311, 0.2689], atol=5e-5)
-        assert math.isclose(out.gate_weights.sum(), 1.0, abs_tol=1e-12)
+        assert np.allclose(gate_weights[:2], renorm)
+        assert np.allclose(gate_weights[:2], [0.7311, 0.2689], atol=5e-5)
+        assert math.isclose(gate_weights.sum(), 1.0, abs_tol=1e-12)
 
     def test_ties_break_to_lowest_index(self):
-        out = gate_forward(logits_gate([0.5, 0.5, 0.5, 0.5, 0.5]), np.array([1.0]),
-                           top_k=3)
-        assert out.selected == (0, 1, 2)
-        assert np.allclose(out.scores, 0.2)
+        out = route_one([0.5, 0.5, 0.5, 0.5, 0.5], top_k=3)
+        assert selected(out) == (0, 1, 2)
+        assert np.allclose(out.scores[0], 0.2)
 
     def test_k_out_of_range(self):
         with pytest.raises(KernelError, match="top_k"):
-            gate_forward(logits_gate([1.0, 2.0]), np.array([1.0]), top_k=3)
+            route_one([1.0, 2.0], top_k=3)
 
     def test_normalized_single_selection_rejected(self):
         with pytest.raises(KernelError, match="top_k >= 2"):
-            gate_forward(logits_gate([1.0, 2.0]), np.array([1.0]), top_k=1,
-                         normalized=True)
+            route_one([1.0, 2.0], top_k=1, normalized=True)
 
 
 def dense_masked_oracle(params: BlockParams, x: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ class TestBlockForward:
                                    expert_dim=2)
         x = rng.normal(size=(7, 4))
         _, cache = moe_batch_forward(params, x)
-        assert cache.eval_counts.sum() == 3 * 7
+        assert cache.balance.selection_counts.sum() == 3 * 7
         assert cache.mask.sum(axis=1).tolist() == [3] * 7
 
     def test_dimension_mismatch(self):
@@ -224,27 +224,49 @@ def per_expert_reference(params, cache, upstream, extra):
     return y, d_x, d_theta
 
 
-@pytest.mark.parametrize("experts, top_k, normalized, shared_dim, n", [
+GROUPED_CASES = pytest.mark.parametrize("experts, top_k, normalized, shared_dim, n", [
     (6, 1, False, 0, 40), (6, 1, False, 3, 3), (6, 2, False, 0, 2), (6, 2, True, 3, 40),
     (6, 2, True, 0, 1), (5, 5, False, 4, 17), (5, 5, True, 0, 9), (8, 2, False, 16, 512)])
-def test_grouped_dispatch_is_bit_identical_to_per_expert_loop(experts, top_k, normalized,
-                                                               shared_dim, n):
+
+
+def grouped_case(experts, top_k, normalized, shared_dim, n):
+    """Block, input and upstream gradient of one grouped-dispatch case."""
     rng = np.random.default_rng(experts * 100 + top_k * 10 + n)
     params = init_block_params(rng, experts, top_k, 7, 4, shared_dim, normalized)
-    x = rng.normal(size=(n, 7))
-    upstream = rng.normal(size=(n, 7))
-    extra = rng.normal(size=experts)
+    return params, rng.normal(size=(n, 7)), rng.normal(size=(n, 7))
+
+
+@GROUPED_CASES
+def test_grouped_dispatch_is_bit_identical_to_per_expert_loop(experts, top_k, normalized,
+                                                               shared_dim, n):
+    params, x, upstream = grouped_case(experts, top_k, normalized, shared_dim, n)
+    lam = 0.3
     y, cache = moe_batch_forward(params, x)
-    grads = moe_batch_backward(params, cache, upstream, extra_score_grad=extra)
+    grads = moe_batch_backward(params, cache, upstream, lam)
+    extra = lam * experts * cache.balance.load_fraction / n
     ref_y, ref_dx, ref_theta = per_expert_reference(params, cache, upstream, extra)
     assert np.array_equal(y, ref_y)
     assert np.array_equal(grads.x, ref_dx)
     for name, view in params.layout.views(ref_theta).items():
         assert np.array_equal(grads.views[name], view), name
-    idle = np.flatnonzero(cache.eval_counts == 0)
+    idle = np.flatnonzero(cache.balance.selection_counts == 0)
     assert idle.size > 0 or n * top_k >= experts
     for name in ("experts.w_gate", "experts.w_up", "experts.w_down"):
         assert not grads.views[name][idle].any(), name
+
+
+@GROUPED_CASES
+def test_forward_records_the_balance_stats_of_its_routing(experts, top_k, normalized,
+                                                          shared_dim, n):
+    params, x, _ = grouped_case(experts, top_k, normalized, shared_dim, n)
+    _, cache = moe_batch_forward(params, x)
+    expected = balance_stats(cache.mask, cache.scores)
+    for f in dataclasses.fields(expected):
+        assert np.array_equal(getattr(cache.balance, f.name), getattr(expected, f.name)), f.name
+    counts = cache.balance.selection_counts
+    assert counts.dtype == expected.selection_counts.dtype
+    assert np.array_equal(counts, np.bincount(cache.expert, minlength=experts))
+    assert (counts == 0).any() or n * top_k >= experts
 
 
 class TestSelectionInvariance:
@@ -256,29 +278,29 @@ class TestSelectionInvariance:
         gaps = np.diff(np.sort(logits))
         if gaps.min() < 1e-6:  # keep clear of rounding-induced ties
             return
-        base = gate_forward(logits_gate(logits), np.array([1.0]), top_k=3)
-        scaled = gate_forward(logits_gate(scale * logits), np.array([1.0]), top_k=3)
-        assert base.selected == scaled.selected
+        base = route_one(logits, top_k=3)
+        scaled = route_one(scale * logits, top_k=3)
+        assert selected(base) == selected(scaled)
 
 
 class TestBalanceStats:
     def test_uniform_routing_hits_top_k(self):
-        outs = [gate_forward(logits_gate([0.0] * 8), np.array([1.0]), top_k=2)
-                for _ in range(8)]
+        outs = [route_one([0.0] * 8, top_k=2) for _ in range(8)]
         # rotate the selected pair so every expert carries the same load
         mask = np.zeros((8, 8), dtype=bool)
         for t in range(8):
             mask[t, [2 * t % 8, (2 * t + 1) % 8]] = True
-        stats = balance_stats(mask, np.stack([out.scores for out in outs]))
+        stats = balance_stats(mask, np.concatenate([out.scores for out in outs]))
         assert stats.balance_loss == 2.0
         assert stats.load_fraction_total == 2.0
 
     def test_two_token_hand_example(self):
-        a = gate_forward(logits_gate([math.log(9.0), 0.0]), np.array([1.0]), top_k=1)
-        b = gate_forward(logits_gate([math.log(1.5), 0.0]), np.array([1.0]), top_k=1)
-        assert np.allclose(a.scores, [0.9, 0.1])
-        assert np.allclose(b.scores, [0.6, 0.4])
-        stats = balance_stats(*routing([a, b]))
+        a = route_one([math.log(9.0), 0.0], top_k=1)
+        b = route_one([math.log(1.5), 0.0], top_k=1)
+        assert np.allclose(a.scores[0], [0.9, 0.1])
+        assert np.allclose(b.scores[0], [0.6, 0.4])
+        stats = balance_stats(np.concatenate([a.mask, b.mask]),
+                              np.concatenate([a.scores, b.scores]))
         assert np.allclose(stats.load_fraction, [1.0, 0.0])
         assert np.allclose(stats.mean_score, [0.75, 0.25])
         assert math.isclose(stats.balance_loss, 1.5, rel_tol=1e-12)
@@ -315,37 +337,13 @@ def test_branch_free_sigmoid_matches_sign_branched_form():
 
 
 class TestLosses:
-    def test_zero_lambda(self):
-        logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 3.0]])
-        targets = np.array([1, 2])
-        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
-                                                     np.array([1.0]), top_k=1)]))
-        bundle = total_loss(logits, targets, stats, lam=0.0)
-        assert bundle.total == bundle.ce_loss
-
     def test_uniform_logits_give_log_vocab(self):
-        logits = np.zeros((4, 11))
-        targets = np.array([0, 3, 7, 10])
-        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
-                                                     np.array([1.0]), top_k=1)]))
-        bundle = total_loss(logits, targets, stats, lam=0.0)
-        assert math.isclose(bundle.ce_loss, math.log(11), rel_tol=1e-12)
-
-    def test_stated_arithmetic(self):
-        # ce 2.0, balance 1.5, lam 0.01 -> 2.015
-        from moebudget.kernel import BalanceStats, LossBundle
-        stats = BalanceStats(load_fraction=np.array([1.0, 0.0]),
-                             mean_score=np.array([0.75, 0.25]), balance_loss=1.5,
-                             batch_size=2, selection_counts=np.array([2, 0]))
-        bundle = LossBundle(ce_loss=2.0, balance_loss=stats.balance_loss, lam=0.01,
-                            total=2.0 + 0.01 * 1.5)
-        assert math.isclose(bundle.total, 2.015, rel_tol=1e-12)
+        ce, _ = softmax_cross_entropy(np.zeros((4, 11)), np.array([0, 3, 7, 10]))
+        assert math.isclose(ce, math.log(11), rel_tol=1e-12)
 
     def test_shape_mismatch(self):
-        stats = balance_stats(*routing([gate_forward(logits_gate([0.0, 1.0]),
-                                                     np.array([1.0]), top_k=1)]))
         with pytest.raises(KernelError, match="logits"):
-            total_loss(np.zeros((3, 4)), np.array([0, 1]), stats, lam=0.0)
+            softmax_cross_entropy(np.zeros((3, 4)), np.array([0, 1]))
 
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(6)

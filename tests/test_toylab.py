@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from moebudget.kernel import balance_stats, gate_forward
+from moebudget.kernel import BlockParams, balance_stats, moe_batch_forward
 from moebudget.toylab import (
     DivergenceError,
     ToyConfigError,
@@ -68,12 +68,14 @@ def test_divergence_step_is_pinned(seed):
 def test_uniform_measurements_pin_balance_loss_at_top_k():
     # whenever measured load and score vectors are uniform, the recorded
     # balance loss equals top_k
+    zeros = np.zeros((8, 1, 1))
+    params = BlockParams.from_arrays({"gate.weight": np.zeros((8, 1)), "experts.w_gate": zeros,
+                                      "experts.w_up": zeros, "experts.w_down": zeros}, top_k=2)
+    _, cache = moe_batch_forward(params, np.array([[1.0]]))
+    scores = np.tile(cache.scores, (8, 1))
     mask = np.zeros((8, 8), dtype=bool)
-    scores = np.zeros((8, 8))
     for t in range(8):
-        out = gate_forward(np.zeros((8, 1)), np.array([1.0]), top_k=2)
         mask[t, [2 * t % 8, (2 * t + 1) % 8]] = True
-        scores[t] = out.scores
     stats = balance_stats(mask, scores)
     assert np.ptp(stats.load_fraction) <= 1e-9
     assert np.ptp(stats.mean_score) <= 1e-9
