@@ -79,9 +79,9 @@ from .search import (
 __version__ = "0.1.0"
 
 _LAZY = {
-    "kernel": ("BalanceStats", "BlockParams", "GradCheckSettings", "Layout", "balance_stats",
-               "grad_check", "init_block_params", "load_checkpoint", "moe_batch_backward",
-               "moe_batch_forward", "save_checkpoint"),
+    "kernel": ("BalanceStats", "BlockParams", "GradCheckSettings", "Layout", "Workspace",
+               "balance_stats", "grad_check", "init_block_params", "load_checkpoint",
+               "moe_batch_backward", "moe_batch_forward", "save_checkpoint"),
     "toylab": ("GatingComparison", "ToyTask", "ToyTrainConfig", "TrainReport",
                "compare_gating", "run_toy_training"),
 }

@@ -28,6 +28,9 @@ EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
+# numpy commands report non-finite results as one diagnostic, without numpy's warnings
+_NUMPY_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract wants 1
@@ -250,9 +253,11 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
-    from . import kernel  # numpy loads only for the commands that compute with it
+    import numpy as np  # numpy loads only for the commands that compute with it
+    from . import kernel
     settings = kernel.GradCheckSettings(**_given(args))
-    report = kernel.grad_check(settings)
+    with np.errstate(**_NUMPY_QUIET):
+        report = kernel.grad_check(settings)
     obj = report.to_json_dict()
     payload = _flat_csv(obj) if args.format == "csv" else _json_payload(obj)
     code = EXIT_OK if report.passed else EXIT_NUMERICAL
@@ -263,11 +268,13 @@ def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
+    import numpy as np
     from . import toylab
     config = toylab.toy_config_from_json(_read_json(args.config, "config file"))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    report = toylab.run_toy_training(config)
+    with np.errstate(**_NUMPY_QUIET):
+        report = toylab.run_toy_training(config)
     if args.out is not None:
         report.write(args.out)
     obj = report.summary_dict()

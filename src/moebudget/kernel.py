@@ -28,6 +28,11 @@ its experts in ascending order and results are bit-stable across runs.
 ``moe_batch_backward`` takes the balance-loss weight ``lam`` and adds the
 frozen-selection gradient of ``lam * balance_loss`` from the cached statistics.
 
+Both write their large arrays through ``out=`` into the ``Workspace`` the
+caller passes to the forward (a fresh one if none), which the cache keeps for
+the backward; ``y``, the cache and the gradients alias its buffers until the
+next call on it. Writing through ``out=`` changes no operand or operation order.
+
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences, evaluated for all perturbed
 copies of theta followed by the input in stacked chunks; each copy is routed
@@ -182,6 +187,27 @@ class BlockParams:
         return self.views["gate.weight"].shape[0]
 
 
+class Workspace:
+    """Reusable buffers, one per name, reallocated when the shape changes. Arrays a
+    call returns from its workspace (``y``, the cache, the gradients) stay valid
+    until the next call on the same workspace, and must not be passed into one."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype: Any = np.float64) -> np.ndarray:
+        """The buffer ``name`` as the last call left it."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self.buffers[name] = np.empty(shape, dtype)
+        return buf
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self.get(name, shape)
+        buf.fill(0.0)
+        return buf
+
+
 @dataclass(frozen=True)
 class BalanceStats:
     """Batch-level routing statistics and the load-balance loss.
@@ -240,25 +266,33 @@ class BlockCache:
     routed: SwiGLUCache       # over the routed rows
     out: np.ndarray           # (n * top_k, model_dim) routed expert outputs
     shared: SwiGLUCache | None
+    workspace: Workspace      # holds the arrays above that the forward computed
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; each side of the select is the sign-branched
-    # formula, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, bit for bit
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(z: np.ndarray, out: Any = None, scratch: Any = None) -> np.ndarray:
+    # exp(-|z|) never overflows; the quotient is the sign-branched formula,
+    # 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, bit for bit
+    e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    d = np.add(1.0, e, out=scratch)
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, d, out=e)
 
 
 def _silu(z: np.ndarray) -> np.ndarray:
     return z * _sigmoid(z)
 
 
-def _swiglu(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> SwiGLUCache:
-    """silu(a) * b from one sigmoid of a, with silu'(a) kept for the backward pass."""
-    sig = _sigmoid(a)
-    silu = a * sig
-    return SwiGLUCache(x=x, up=b, silu=silu, silu_grad=sig * (1.0 + a * (1.0 - sig)),
-                       hidden=silu * b)
+def _swiglu(x: np.ndarray, a: np.ndarray, b: np.ndarray, ws: Workspace,
+            name: str) -> SwiGLUCache:
+    """silu(a) * b from one sigmoid of a, with silu'(a) = sig * (1 + a * (1 - sig))
+    kept for the backward pass; sig starts in silu'(a)'s buffer."""
+    grad, hidden = ws.get(f"{name}.silu_grad", a.shape), ws.get(f"{name}.hidden", a.shape)
+    sig = _sigmoid(a, out=grad, scratch=hidden)
+    silu = np.multiply(a, sig, out=ws.get(f"{name}.silu", a.shape))
+    np.multiply(a, np.subtract(1.0, sig, out=hidden), out=hidden)
+    grad *= np.add(1.0, hidden, out=hidden)
+    return SwiGLUCache(x=x, up=b, silu=silu, silu_grad=grad,
+                       hidden=np.multiply(silu, b, out=hidden))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -289,11 +323,12 @@ def _batch_gate(weight: np.ndarray, x: np.ndarray, top_k: int,
     return scores, mask, gate_weights, selected_sum
 
 
-def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, BlockCache]:
+def moe_batch_forward(params: BlockParams, x: np.ndarray,
+                      workspace: Workspace | None = None) -> tuple[np.ndarray, BlockCache]:
     """Evaluate the block on a (batch, model_dim) matrix of token activations.
 
-    Only the selected experts run; the cache records the balance statistics
-    and everything the backward pass needs.
+    Only the selected experts run; the cache records the balance statistics and
+    everything the backward pass needs, in ``workspace`` (a fresh one if None).
     """
     x = _as_matrix("x", x)
     if x.ndim != 2 or x.shape[1] != params.model_dim:
@@ -301,6 +336,7 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     n = x.shape[0]
     if n == 0:
         raise KernelError("x must hold at least one token")
+    ws = Workspace() if workspace is None else workspace
     p = params.views
     scores, mask, gate_weights, selected_sum = _batch_gate(p["gate.weight"], x, params.top_k,
                                                            params.normalized)
@@ -309,25 +345,34 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, B
     ends = np.cumsum(balance.selection_counts).tolist()
     spans = [(e, lo, hi) for e, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
     rank = np.argsort(token, kind="stable").reshape(n, params.top_k).T
-    xs = x[token]
-    a = np.concatenate([xs[lo:hi] @ p["experts.w_gate"][e].T for e, lo, hi in spans])
-    b = np.concatenate([xs[lo:hi] @ p["experts.w_up"][e].T for e, lo, hi in spans])
-    routed = _swiglu(xs, a, b)
-    out = np.concatenate([routed.hidden[lo:hi] @ p["experts.w_down"][e].T
-                          for e, lo, hi in spans])
-    weighted = gate_weights[token, expert][:, None] * out
+    # take writes into out= unbuffered only outside mode="raise"; no index clips
+    xs = np.take(x, token, axis=0, out=ws.get("xs", (token.size, x.shape[1])), mode="clip")
+    hidden_shape = (token.size, p["experts.w_gate"].shape[1])
+    a, b = ws.get("routed.a", hidden_shape), ws.get("routed.b", hidden_shape)
+    for e, lo, hi in spans:
+        np.matmul(xs[lo:hi], p["experts.w_gate"][e].T, out=a[lo:hi])
+        np.matmul(xs[lo:hi], p["experts.w_up"][e].T, out=b[lo:hi])
+    routed = _swiglu(xs, a, b, ws, "routed")
+    out = ws.get("out", xs.shape)
+    for e, lo, hi in spans:
+        np.matmul(routed.hidden[lo:hi], p["experts.w_down"][e].T, out=out[lo:hi])
+    weighted = np.multiply(gate_weights[token, expert][:, None], out,
+                           out=ws.get("weighted", xs.shape))
     # rank-ordered adds keep each token's ascending-expert addition order
-    y = np.zeros_like(x)
+    y, tmp = ws.zeros("y", x.shape), ws.get("tmp", x.shape)
     for rows in rank:
-        y += weighted[rows]
+        y += np.take(weighted, rows, axis=0, out=tmp, mode="clip")
     shared = None
     if "shared.w_gate" in p:
-        shared = _swiglu(x, x @ p["shared.w_gate"].T, x @ p["shared.w_up"].T)
-        y += shared.hidden @ p["shared.w_down"].T
+        shape = (n, p["shared.w_gate"].shape[0])
+        shared = _swiglu(x, np.matmul(x, p["shared.w_gate"].T, out=ws.get("shared.a", shape)),
+                         np.matmul(x, p["shared.w_up"].T, out=ws.get("shared.b", shape)),
+                         ws, "shared")
+        y += np.matmul(shared.hidden, p["shared.w_down"].T, out=tmp)
     cache = BlockCache(x=x, scores=scores, mask=mask, balance=balance,
                        gate_weights=gate_weights, selected_sum=selected_sum, expert=expert,
                        token=token, spans=spans, rank=rank, routed=routed, out=out,
-                       shared=shared)
+                       shared=shared, workspace=ws)
     return y, cache
 
 
@@ -336,36 +381,44 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
     """Gradients of the loss behind ``upstream`` (dLoss/dy, shape (batch, model_dim))
     plus ``lam * balance_loss``, under the frozen-selection convention."""
     upstream = _as_matrix("upstream", upstream, cache.x.shape)
-    p = params.views
-    x = cache.x
-    d_x = np.zeros_like(x)
-    d_theta = np.zeros(params.layout.size)
+    p, ws, x = params.views, cache.workspace, cache.x
+    d_x, tmp, tmp2 = ws.zeros("d_x", x.shape), ws.get("tmp", x.shape), ws.get("tmp2", x.shape)
+    d_theta = ws.zeros("d_theta", (params.layout.size,))
     g = params.layout.views(d_theta)
 
     if cache.shared is not None:
         c = cache.shared
-        dh = upstream @ p["shared.w_down"]
-        da, db = dh * c.up * c.silu_grad, dh * c.silu
+        dh = np.matmul(upstream, p["shared.w_down"], out=ws.get("shared.dh", c.up.shape))
+        da = np.multiply(dh, c.up, out=ws.get("shared.da", dh.shape))
+        da *= c.silu_grad
+        db = np.multiply(dh, c.silu, out=ws.get("shared.db", dh.shape))
         g["shared.w_down"][...] = upstream.T @ c.hidden
         g["shared.w_gate"][...] = da.T @ x
         g["shared.w_up"][...] = db.T @ x
-        d_x += da @ p["shared.w_gate"] + db @ p["shared.w_up"]
+        np.matmul(da, p["shared.w_gate"], out=tmp)
+        tmp += np.matmul(db, p["shared.w_up"], out=tmp2)
+        d_x += tmp
 
     c, token, expert = cache.routed, cache.token, cache.expert
-    dys = upstream[token]
+    dys = np.take(upstream, token, axis=0, out=ws.get("dys", c.x.shape), mode="clip")
     d_gate_weights = np.zeros_like(cache.gate_weights)
     d_gate_weights[token, expert] = np.einsum("nd,nd->n", dys, cache.out)
-    de = cache.gate_weights[token, expert][:, None] * dys
-    dh = np.concatenate([de[lo:hi] @ p["experts.w_down"][e] for e, lo, hi in cache.spans])
-    da, db = dh * c.up * c.silu_grad, dh * c.silu
+    de = np.multiply(cache.gate_weights[token, expert][:, None], dys, out=dys)
+    dh, d_xs = ws.get("routed.dh", c.up.shape), ws.get("d_xs", c.x.shape)
+    for e, lo, hi in cache.spans:
+        np.matmul(de[lo:hi], p["experts.w_down"][e], out=dh[lo:hi])
+    da = np.multiply(dh, c.up, out=ws.get("routed.da", dh.shape))
+    da *= c.silu_grad
+    db = np.multiply(dh, c.silu, out=ws.get("routed.db", dh.shape))
     for e, lo, hi in cache.spans:
         g["experts.w_down"][e] = de[lo:hi].T @ c.hidden[lo:hi]
         g["experts.w_gate"][e] = da[lo:hi].T @ c.x[lo:hi]
         g["experts.w_up"][e] = db[lo:hi].T @ c.x[lo:hi]
-    d_xs = np.concatenate([da[lo:hi] @ p["experts.w_gate"][e] + db[lo:hi] @ p["experts.w_up"][e]
-                           for e, lo, hi in cache.spans])
+        np.matmul(da[lo:hi], p["experts.w_gate"][e], out=d_xs[lo:hi])
+        # de's rows are spent, so they hold the second product
+        d_xs[lo:hi] += np.matmul(db[lo:hi], p["experts.w_up"][e], out=de[lo:hi])
     for rows in cache.rank:
-        d_x += d_xs[rows]
+        d_x += np.take(d_xs, rows, axis=0, out=tmp, mode="clip")
 
     if params.normalized:
         # For selected scores, d g_j / d s_i = (delta_ij - g_j) / sum_selected;
@@ -383,7 +436,7 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
     dot = (d_scores * cache.scores).sum(axis=1, keepdims=True)
     d_logits = cache.scores * (d_scores - dot)
     g["gate.weight"] += d_logits.T @ x
-    d_x += d_logits @ p["gate.weight"]
+    d_x += np.matmul(d_logits, p["gate.weight"], out=tmp)
 
     return BlockGrads(theta=d_theta, views=g, x=d_x)
 
@@ -422,14 +475,16 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
         raise KernelError(
             f"logits must be (n, vocab) with matching targets, got {logits.shape} "
             f"and {targets.shape}")
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    z = exp.sum(axis=1, keepdims=True)
-    ce = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(n), targets]))
-    probs = exp / z
-    probs[np.arange(n), targets] -= 1.0
-    return ce, probs / n
+    n, rows = logits.shape[0], np.arange(logits.shape[0])
+    probs = logits - logits.max(axis=1, keepdims=True)  # one buffer: shifted, exp, probs
+    picked = probs[rows, targets]
+    np.exp(probs, out=probs)
+    z = probs.sum(axis=1, keepdims=True)
+    ce = float(np.mean(np.log(z[:, 0]) - picked))
+    probs /= z
+    probs[rows, targets] -= 1.0
+    probs /= n
+    return ce, probs
 
 
 def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
@@ -642,6 +697,9 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
             totals[rows] = _stacked_totals(copies, layout, probe, settings.lam,
                                            params.top_k, params.normalized)
         errors = _rel_error(analytic, (totals[:theta.size] - totals[theta.size:]) / (2 * h))
+        if not np.all(np.isfinite(errors)):  # NaN or inf in either gradient, or overflow
+            raise KernelError(f"grad-check trial {trial}: the analytic or finite-difference "
+                              f"gradient is not finite at lam {settings.lam}")
         checked += theta.size
         k = int(np.argmax(errors))  # the first entry with the largest error
         trials.append(GradCheckTrial(trial=trial, max_rel_error=float(errors[k]),

@@ -10,7 +10,9 @@ seed, runs are bit-deterministic.
 All model parameters live in one flat float64 vector with a static layout of
 ``embed``, ``mix``, ``block`` and ``head``; the MoE block's ``BlockParams`` is
 a view of its slice, and the optimizer updates the whole vector in place with
-one velocity vector of the same layout.
+one velocity vector of the same layout. A run owns one kernel ``Workspace``:
+the block and the step write their large arrays, the gradient among them, into
+its buffers, so each step overwrites the last one's instead of allocating anew.
 
 Reported loss is mean next-token cross-entropy in nats; the summary also
 converts it to bits/token (ce / ln 2). That unit is a stand-in for corpus
@@ -34,6 +36,7 @@ from .kernel import (
     BlockParams,
     KernelError,
     Layout,
+    Workspace,
     init_block_params,
     moe_batch_backward,
     moe_batch_forward,
@@ -230,27 +233,36 @@ def _init_model(config: ToyTrainConfig, rng: np.random.Generator) -> _ToyModel:
 
 
 def _forward_backward(model: _ToyModel, inputs: np.ndarray, targets: np.ndarray,
-                      lam: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+                      lam: float, ws: Workspace) -> tuple[float, float, np.ndarray, np.ndarray]:
     """One pass over flattened (input, next-token) pairs; returns losses, the
     routed-load histogram, and the gradient of theta in the model layout."""
     p = model.views
-    h = p["embed"][inputs]
-    m = h + h @ p["mix"].T
-    y, cache = moe_batch_forward(model.block, m)
-    z = m + y
-    logits = z @ p["head"].T
+    vocab, dim = p["embed"].shape
+    shape = (inputs.size, dim)
+    # sampled ids lie in [0, vocab): mode="clip", which lets take fill out= directly, never clips
+    h = np.take(p["embed"], inputs, axis=0, out=ws.get("h", shape), mode="clip")
+    m = np.matmul(h, p["mix"].T, out=ws.get("m", shape))
+    m += h
+    y, cache = moe_batch_forward(model.block, m, ws)
+    z = np.add(m, y, out=ws.get("z", shape))
+    logits = np.matmul(z, p["head"].T, out=ws.get("logits", (inputs.size, vocab)))
     ce, d_logits = softmax_cross_entropy(logits, targets)
 
-    grad = np.zeros_like(model.theta)
+    grad = ws.get("grad", model.theta.shape)  # every entry is written below
     g = model.layout.views(grad)
-    g["head"][...] = d_logits.T @ z
-    dz = d_logits @ p["head"]
+    np.matmul(d_logits.T, z, out=g["head"])
+    dz = np.matmul(d_logits, p["head"], out=ws.get("dz", shape))
     block_grads = moe_batch_backward(model.block, cache, dz, lam)
     g["block"][...] = block_grads.theta
-    dm = dz + block_grads.x
-    g["mix"][...] = dm.T @ h
-    dh = dm + dm @ p["mix"]
-    np.add.at(g["embed"], inputs, dh)
+    dm = np.add(dz, block_grads.x, out=dz)
+    np.matmul(dm.T, h, out=g["mix"])
+    dh = np.matmul(dm, p["mix"], out=ws.get("dh", shape))
+    dh += dm
+    # bincount sums each (token, column) cell in row order from 0.0, as add.at does
+    index = ws.get("embed_index", shape, np.int64)
+    np.add(np.multiply(inputs[:, None], dim, out=index), np.arange(dim), out=index)
+    g["embed"][...] = np.bincount(index.ravel(), weights=dh.ravel(),
+                                  minlength=vocab * dim).reshape(vocab, dim)
     return ce, cache.balance.balance_loss, cache.balance.selection_counts, grad
 
 
@@ -272,7 +284,7 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     rng = np.random.default_rng(config.seed)
     distributions = config.task.cluster_distributions()
     model = _init_model(config, rng)
-    theta, velocity = model.theta, np.zeros_like(model.theta)
+    theta, velocity, ws = model.theta, np.zeros_like(model.theta), Workspace()
     records: list[StepRecord] = []
 
     def sample() -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +292,7 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
         return batch[:, :-1].ravel(), batch[:, 1:].ravel()
 
     inputs, targets = sample()
-    ce, bal, hist, _ = _forward_backward(model, inputs, targets, config.lam)
+    ce, bal, hist, _ = _forward_backward(model, inputs, targets, config.lam, ws)
     records.append(StepRecord(step=0, ce_loss=ce, balance_loss=bal,
                               expert_load_histogram=tuple(int(c) for c in hist),
                               load_cv=_load_cv(hist)))
@@ -289,14 +301,14 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
         inputs, targets = sample()
         try:
             ce, bal, hist, grad = _forward_backward(model, inputs, targets,
-                                                    config.lam)
+                                                    config.lam, ws)
         except KernelError as exc:  # exploded weights surface as non-finite inputs
             raise DivergenceError(step) from exc
         if not (math.isfinite(ce) and math.isfinite(bal)):
             raise DivergenceError(step)
         velocity *= config.momentum
         velocity += grad
-        theta -= config.lr * velocity
+        theta -= np.multiply(config.lr, velocity, out=grad)  # grad is spent
         records.append(StepRecord(step=step, ce_loss=ce, balance_loss=bal,
                                   expert_load_histogram=tuple(int(c) for c in hist),
                                   load_cv=_load_cv(hist)))

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -163,6 +166,75 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.payload == ""
         assert result.diagnostics == "seed must be >= 0, got -1"
+
+
+def _quiet_dispatch(argv):
+    """dispatch(argv), asserting that it lets no warning escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = dispatch(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def _strict_json(payload):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(payload, parse_constant=reject)
+
+
+class TestNumericalFailures:
+    def test_grad_check_with_non_finite_gradients_is_a_validation_error(self):
+        result = _quiet_dispatch(["grad-check", "--E", "2", "--K", "2", "--normalized",
+                                  "--trials", "1", "--lam", "1e308"])
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics == ("grad-check trial 0: the analytic or finite-difference "
+                                      "gradient is not finite at lam 1e+308")
+
+    def test_diverging_run_prints_one_line_and_no_warning(self, tmp_path):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"lr": 1e300, "steps": 5}))
+        result = _quiet_dispatch(["train-toy", "--config", str(config)])
+        assert result.exit_code == 3
+        assert result.payload == ""
+        assert result.diagnostics == "loss became non-finite at step 2"
+
+    @given(flags=st.fixed_dictionaries({}, optional={
+        "--E": st.integers(-1, 4), "--K": st.integers(0, 4), "--D_m": st.integers(0, 3),
+        "--D_e": st.integers(0, 3), "--D_se": st.integers(-1, 3), "--seed": st.integers(-1, 5),
+        "--tolerance": st.sampled_from(["-1", "0", "1e-5", "1e308"]),
+        "--lam": st.sampled_from(["-1", "0", "0.01", "1e10", "1e300", "1e308"])}),
+        normalized=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_grad_check_keeps_the_cli_contract(self, flags, normalized):
+        argv = ["grad-check", "--trials", "1", *[str(v) for kv in flags.items() for v in kv]]
+        self._check_contract(argv + ["--normalized"] * normalized)
+
+    @given(config=st.fixed_dictionaries({
+        "steps": st.integers(0, 3), "batch_sequences": st.integers(1, 3),
+        "model_dim": st.integers(0, 4)}, optional={
+        "vocab": st.integers(1, 6), "seq_len": st.integers(1, 4), "clusters": st.integers(1, 3),
+        "task_seed": st.integers(0, 3), "concentration": st.sampled_from([0.0, 1.0, 1e308]),
+        "expert_dim": st.integers(0, 3), "shared_dim": st.integers(0, 2),
+        "experts": st.integers(1, 4), "top_k": st.integers(0, 4), "normalized": st.booleans(),
+        "lam": st.sampled_from([0.0, 0.01, 1e308]), "lr": st.sampled_from([0.2, 1e300, 1e308]),
+        "momentum": st.sampled_from([0.0, 0.9, 1e308]), "seed": st.integers(0, 3)}))
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_train_toy_keeps_the_cli_contract(self, tmp_path, config):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(config))
+        self._check_contract(["train-toy", "--config", str(path)])
+
+    @staticmethod
+    def _check_contract(argv):
+        result = _quiet_dispatch(argv)
+        assert result.exit_code in (0, 1, 2, 3)
+        if result.exit_code == 1:
+            assert result.payload == ""
+        if result.payload:
+            _strict_json(result.payload)
 
 
 def _assert_rejected(result):

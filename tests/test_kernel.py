@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebudget import toylab
 from moebudget.kernel import (
     BlockParams,
     KernelError,
+    Workspace,
     _sigmoid,
     balance_stats,
     init_block_params,
@@ -267,6 +269,71 @@ def test_forward_records_the_balance_stats_of_its_routing(experts, top_k, normal
     assert counts.dtype == expected.selection_counts.dtype
     assert np.array_equal(counts, np.bincount(cache.expert, minlength=experts))
     assert (counts == 0).any() or n * top_k >= experts
+
+
+def busy_then_idle_batches(params, n, seed):
+    """Three (n, 7) batches: random, one token repeated, random. With top_k < experts
+    an expert busy in the first call is idle in the second and busy in the third."""
+    rng = np.random.default_rng(seed)
+    repeated = np.repeat(rng.normal(size=(1, 7)), n, axis=0)
+    idle = ~moe_batch_forward(params, repeated)[1].mask.any(axis=0)
+    for _ in range(100):
+        busy = rng.normal(size=(n, 7))
+        if not idle.any() or (moe_batch_forward(params, busy)[1].mask.any(axis=0) & idle).any():
+            return [busy, repeated, busy[::-1].copy()], idle
+    raise AssertionError("no batch routes to an expert the repeated token leaves idle")
+
+
+@GROUPED_CASES
+def test_shared_workspace_calls_match_fresh_ones(experts, top_k, normalized, shared_dim, n):
+    params, _, upstream = grouped_case(experts, top_k, normalized, shared_dim, n)
+    batches, idle = busy_then_idle_batches(params, n, seed=experts + n)
+    assert idle.any() == (top_k < experts)
+    ws = Workspace()
+    for x in batches:
+        y, cache = moe_batch_forward(params, x, ws)
+        grads = moe_batch_backward(params, cache, upstream, 0.3)
+        assert cache.workspace is ws
+        fresh_y, fresh_cache = moe_batch_forward(params, x)
+        fresh = moe_batch_backward(params, fresh_cache, upstream, 0.3)
+        assert np.array_equal(y, fresh_y)
+        assert np.array_equal(grads.x, fresh.x)
+        assert np.array_equal(grads.theta, fresh.theta)
+        for name, view in fresh.views.items():
+            assert np.array_equal(grads.views[name], view), name
+
+
+def test_workspace_reallocates_on_batch_size_change():
+    params, x, upstream = grouped_case(6, 2, False, 3, 40)
+    ws = Workspace()
+    moe_batch_backward(params, moe_batch_forward(params, x, ws)[1], upstream)
+    before = dict(ws.buffers)
+    y, cache = moe_batch_forward(params, x[:9], ws)
+    grads = moe_batch_backward(params, cache, upstream[:9])
+    assert y.shape == grads.x.shape == (9, 7)
+    assert np.array_equal(y, moe_batch_forward(params, x[:9])[0])
+    for name, buf in ws.buffers.items():
+        same_shape = buf.shape == before[name].shape
+        assert (buf is before[name]) == same_shape, name
+        assert same_shape == (name == "d_theta"), name
+
+
+def test_toy_steps_allocate_no_buffer_in_steady_state():
+    config = toylab.ToyTrainConfig(steps=3, batch_sequences=4)
+    rng = np.random.default_rng(config.seed)
+    model = toylab._init_model(config, rng)
+    distributions = config.task.cluster_distributions()
+    ws = Workspace()
+    held = None
+    for step in range(4):
+        batch = config.task.sample_batch(rng, config.batch_sequences, distributions)
+        toylab._forward_backward(model, batch[:, :-1].ravel(), batch[:, 1:].ravel(),
+                                 config.lam, ws)
+        if step == 1:
+            held = dict(ws.buffers)  # holding the arrays keeps their ids from being reused
+    assert ws.buffers.keys() == held.keys()
+    assert all(ws.buffers[name] is buf for name, buf in held.items())
+    assert {"h", "logits", "grad", "xs", "routed.hidden", "d_theta", "d_xs"} <= set(held)
 
 
 class TestSelectionInvariance:

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from moebudget.kernel import BlockParams, balance_stats, moe_batch_forward
+from moebudget.kernel import BlockParams, Workspace, balance_stats, moe_batch_forward
 from moebudget.toylab import (
     DivergenceError,
     ToyConfigError,
     ToyTask,
     ToyTrainConfig,
+    _forward_backward,
+    _init_model,
     compare_gating,
     run_toy_training,
 )
@@ -63,6 +65,20 @@ def test_divergence_step_is_pinned(seed):
     with pytest.raises(DivergenceError) as excinfo:
         run_toy_training(ToyTrainConfig(lr=1e9, seed=seed, steps=50))
     assert excinfo.value.step == 3
+
+
+def test_embedding_gradient_matches_add_at():
+    # ids 3 and 0 repeat, most of the vocabulary is absent
+    config = ToyTrainConfig(task=ToyTask(vocab=16), steps=1)
+    model = _init_model(config, np.random.default_rng(1))
+    inputs = np.array([3, 3, 0, 7, 3, 15, 0, 9, 3, 12, 3, 0])
+    ws = Workspace()
+    *_, grad = _forward_backward(model, inputs, (inputs * 5) % 16, config.lam, ws)
+    expected = np.zeros((16, config.model_dim))
+    np.add.at(expected, inputs, ws.buffers["dh"])  # dh: the gradient of the embedded rows
+    embed = model.layout.views(grad)["embed"]
+    assert np.array_equal(embed, expected)
+    assert not embed[[1, 2, 4, 5, 6, 8, 10, 11, 13, 14]].any()
 
 
 def test_uniform_measurements_pin_balance_loss_at_top_k():
