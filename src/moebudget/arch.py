@@ -24,6 +24,16 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeError(message)
 
 
+def check_routing(experts: int, top_k: int, normalized: bool,
+                  error: type[Exception] = ShapeError) -> None:
+    """Raise ``error`` unless 1 <= top_k <= experts, and top_k >= 2 when normalized."""
+    if not 1 <= top_k <= experts:
+        raise error(f"top_k must be in [1, {experts}], got {top_k}")
+    # Renormalizing a single selected score gives the constant 1, which carries no gradient.
+    if normalized and top_k < 2:
+        raise error("normalized gating requires top_k >= 2")
+
+
 @dataclass(frozen=True)
 class DenseShape:
     """Dense transformer shape; every layer is attention plus one FFN."""
@@ -88,15 +98,10 @@ class MoEShape:
                  f"moe_layers + dense_layers must equal layers as {self.arrangement} splits "
                  f"them: {self.moe_layers} + {self.dense_layers} != {split[0]} + {split[1]}")
         _require(self.experts >= 1, f"experts must be >= 1, got {self.experts}")
-        _require(1 <= self.top_k <= self.experts,
-                 f"top_k must be in [1, experts]: got {self.top_k} of {self.experts}")
+        check_routing(self.experts, self.top_k, self.gate_normalized)
         _require(self.expert_dim >= 1, f"expert_dim must be >= 1, got {self.expert_dim}")
         _require(self.shared_expert_dim >= 0,
                  f"shared_expert_dim must be >= 0, got {self.shared_expert_dim}")
-        # Renormalizing a single selected score is the constant 1 and carries
-        # no gradient, so top_k == 1 with normalization is rejected here.
-        _require(not (self.gate_normalized and self.top_k < 2),
-                 "gate_normalized requires top_k >= 2")
 
     @property
     def model_dim(self) -> int:

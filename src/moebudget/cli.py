@@ -185,23 +185,17 @@ def _table_name(raw: str) -> str:
 def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
     table = fixtures.load_table(_table_name(args.from_fixture), args.dir)
     column = {"eta": "eta", "batch": "B"}[args.target]
-    nominal = table.meta.get("total_params")
-    points = planner.fit_points_from_table(table.rows, column, nominal_params=nominal,
-                                           n_column=args.n_column, ra_filter=args.ra)
-    fit = planner.fit_hparam_power_law(points)
+    fit = planner.fit_hparam_power_law(table.fit_points(column, args.n_column, args.ra),
+                                       args.n_column)
     obj = fit.to_json_dict()
     obj["target"] = args.target
-    obj["n_column"] = args.n_column
     # Residuals with the other parameter column, when the table offers one,
     # settle which count the law prefers.
     alt_column = "N_a" if args.n_column == "N" else "N"
     try:
-        alt_points = planner.fit_points_from_table(
-            table.rows, column, nominal_params=nominal, n_column=alt_column,
-            ra_filter=args.ra)
         obj["alt_n_column_residual_rms"] = planner.fit_hparam_power_law(
-            alt_points).residual_rms
-    except planner.PlannerError:
+            table.fit_points(column, alt_column, args.ra)).residual_rms
+    except (planner.PlannerError, fixtures.FixtureError):
         obj["alt_n_column_residual_rms"] = None
     payload = _flat_csv(obj) if args.format == "csv" else _json_payload(obj)
     return CommandResult(EXIT_OK, payload)
@@ -211,40 +205,28 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
     entries = _read_json(args.shapes_file, "shapes file")
     if not isinstance(entries, list) or not entries:
         raise CliUsageError("shapes file must hold a nonempty JSON list")
-    shapes = []
-    row_hparams: list[tuple[Any, Any]] | None = []
+    shapes, row_hparams = [], []
     for entry in entries:
-        if isinstance(entry, dict) and "shape" in entry:
-            if not set(entry) <= {"shape", "eta", "B"}:
-                raise CliUsageError(f"shapes file entry keys must be among shape, eta, B; "
-                                    f"got {sorted(entry)}")
-            shapes.append(arch.shape_from_json(entry["shape"]))
-            if row_hparams is not None and "eta" in entry and "B" in entry:
-                row_hparams.append((entry["eta"], entry["B"]))
-            else:
-                row_hparams = None
-        else:
-            shapes.append(arch.shape_from_json(entry))
-            row_hparams = None
+        wrapped = isinstance(entry, dict) and "shape" in entry
+        if wrapped and not set(entry) <= {"shape", "eta", "B"}:
+            raise CliUsageError(f"shapes file entry keys must be among shape, eta, B; "
+                                f"got {sorted(entry)}")
+        shapes.append(arch.shape_from_json(entry["shape"] if wrapped else entry))
+        if wrapped and "eta" in entry and "B" in entry:
+            row_hparams.append((entry["eta"], entry["B"]))
     fits = None
     if args.hparams_from is not None:
         table = fixtures.load_table(_table_name(args.hparams_from), args.dir)
-        nominal = table.meta.get("total_params")
-        eta_fit = planner.fit_hparam_power_law(planner.fit_points_from_table(
-            table.rows, "eta", nominal_params=nominal, n_column=args.n_column))
-        batch_fit = planner.fit_hparam_power_law(planner.fit_points_from_table(
-            table.rows, "B", nominal_params=nominal, n_column=args.n_column))
-        fits = (eta_fit, batch_fit)
-        row_hparams = None
-    if row_hparams is None and fits is None:
+        fits = tuple(planner.fit_hparam_power_law(table.fit_points(column, args.n_column),
+                                                  args.n_column) for column in ("eta", "B"))
+    elif len(row_hparams) < len(shapes):
         raise CliUsageError(
             "no eta/B source: give per-entry eta and B in the shapes file or "
             "--hparams-from <fixture table>")
     plan = planner.build_sweep(
-        fixed=args.fixed.upper(), value=args.value, shapes=shapes,
-        hparam_fits=fits, row_hparams=row_hparams,
-        reuse_scheme=args.reuse, unique_tokens=args.unique_tokens,
-        n_source=args.n_source)
+        fixed=args.fixed.upper(), value=args.value, shapes=shapes, hparam_fits=fits,
+        row_hparams=None if fits else row_hparams,
+        reuse_scheme=args.reuse, unique_tokens=args.unique_tokens)
     plan.validate()
     if args.format == "csv":
         header, rows = planner.sweep_to_csv_rows(plan)
@@ -377,7 +359,6 @@ def build_parser() -> _Parser:
     p.add_argument("--shapes-file", required=True)
     p.add_argument("--hparams-from", default=None, metavar="TABLE")
     p.add_argument("--n-column", choices=("N", "N_a"), default="N")
-    p.add_argument("--n-source", choices=("total", "active"), default="total")
     p.add_argument("--reuse", choices=("strict", "loose"), default=None)
     p.add_argument("--unique-tokens", type=_count, default=None)
     p.add_argument("--dir", default=None)

@@ -26,6 +26,11 @@ from .planner import iterations
 FIXTURES_ENV_VAR = "MOEBUDGET_FIXTURES"
 _PACKAGED_DIR = Path(__file__).parent / "fixtures"
 
+# An index entry holds these keys and shape fields that every row of its table shares.
+_COUNT_KEYS = ("total_params", "unique_tokens")
+_INDEX_KEYS = frozenset(("file", "kind", "description", "reuse_scheme", *_COUNT_KEYS,
+                         *(name for _, name in DENSE_KEYS + MOE_KEYS)))
+
 # Residual tolerances: tables round to three significant digits, so budget
 # columns are compared relatively; r_a (reported in percent) and epoch counts
 # absolutely; iteration counts inherit the rounding of the D column.
@@ -60,7 +65,6 @@ class FixtureRow(dict):
 class FixtureTable:
     name: str
     kind: str                     # "moe" or "dense"
-    description: str
     rows: tuple[dict[str, float], ...]
     meta: dict[str, Any]
 
@@ -86,6 +90,25 @@ class FixtureTable:
         if self.reuse_scheme == "loose":
             return 2 * int(row["D_hat"])
         return int(row["D"])
+
+    def fit_points(self, column: str, n_column: str = "N",
+                   ra: float | None = None) -> list[tuple[float, float, float]]:
+        """(N, D, value) power-law fit points of ``column``, one per row.
+
+        N is the row's ``n_column``; a table without an "N" column states its
+        total once, as ``total_params``. D is ``row_tokens``. ``ra`` keeps only
+        rows whose r_a matches it to 0.01; a table without r_a keeps every row.
+        """
+        points = []
+        for row in self.rows:
+            if ra is not None and "r_a" in row and abs(row["r_a"] - ra) > 0.01:
+                continue
+            if n_column == "N" and "N" not in row:
+                n = _meta_count(self, "total_params")
+            else:
+                n = row[n_column]
+            points.append((n, float(self.row_tokens(row)), row[column]))
+        return points
 
 
 def table_names(directory: str | os.PathLike | None = None) -> list[str]:
@@ -114,6 +137,12 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
     if not isinstance(meta, dict) or not isinstance(meta.get("file"), str) \
             or meta.get("kind") not in ("moe", "dense"):
         raise FixtureError(f'index entry {name!r} needs a "file" and a "kind" of moe or dense')
+    unknown = sorted(set(meta) - _INDEX_KEYS)
+    if unknown:
+        raise FixtureError(f"index entry {name!r} has unknown key {unknown[0]!r}")
+    if meta.get("reuse_scheme", "strict") not in ("strict", "loose"):
+        raise FixtureError(f'index entry {name!r}: reuse_scheme must be "strict" or "loose", '
+                           f"got {meta['reuse_scheme']!r}")
     csv_path = base / meta["file"]
     if not csv_path.is_file():
         raise FixtureError(f"fixture file not found: {csv_path}")
@@ -139,10 +168,11 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
             rows.append(FixtureRow(name, parsed))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")
-    return FixtureTable(
-        name=name, kind=meta["kind"], description=meta.get("description", ""),
-        rows=tuple(rows), meta=meta,
-    )
+    table = FixtureTable(name=name, kind=meta["kind"], rows=tuple(rows), meta=meta)
+    for key in _COUNT_KEYS:
+        if key in meta:
+            _meta_count(table, key)
+    return table
 
 
 @dataclass(frozen=True)
@@ -204,12 +234,13 @@ def _rel(computed: float, expected: float) -> float:
 
 
 def _meta_count(table: FixtureTable, key: str) -> float:
-    """A positive number the index entry must hold for validation."""
+    """A positive finite count the index entry must hold for this use of its table."""
     if key not in table.meta:
-        raise FixtureError(f"index entry {table.name!r} needs {key!r} to be validated")
+        raise FixtureError(f"index entry {table.name!r} needs {key!r}")
+    # json accepts an Infinity literal, and inf would reach residuals and fits as NaN
     value = json_value(key, table.meta[key], "float", FixtureError)
-    if not value > 0:
-        raise FixtureError(f"{key} must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise FixtureError(f"{key} must be > 0 and finite, got {value}")
     return value
 
 

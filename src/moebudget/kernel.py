@@ -50,7 +50,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arch import json_value
+from .arch import check_routing, json_value
 from .errors import KernelError
 
 TIE_EPS = 1e-9
@@ -132,14 +132,6 @@ def _block_layout(shapes: Mapping[str, tuple[int, ...]]) -> Layout:
     return Layout.of(expected)
 
 
-def _check_routing(experts: int, top_k: int, normalized: bool) -> None:
-    if not 1 <= top_k <= experts:
-        raise KernelError(f"top_k must be in [1, {experts}], got {top_k}")
-    # One renormalized score is the constant 1 and has zero gradient.
-    if normalized and top_k < 2:
-        raise KernelError("normalized gating requires top_k >= 2")
-
-
 @dataclass(frozen=True, eq=False)
 class BlockParams:
     """Block parameters: one flat float64 ``theta`` in the block ``layout``.
@@ -167,7 +159,7 @@ class BlockParams:
             raise KernelError(f"{layout.label(int(bad[0]))} is not finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "views", layout.views(theta))
-        _check_routing(self.expert_count, self.top_k, self.normalized)
+        check_routing(self.expert_count, self.top_k, self.normalized, KernelError)
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, Any], top_k: int,

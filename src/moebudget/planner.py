@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value
+from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value, shape_to_json
 from .errors import IdentifiabilityError, PlannerError
 
 # Recipe constants shared by every plan; recorded in plan metadata, the
@@ -111,7 +111,11 @@ def loose_reuse(consumed_tokens: int) -> ReusePlan:
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """ln(value) = log_coefficient + exponent_params*ln(N) + exponent_tokens*ln(D)."""
+    """ln(value) = log_coefficient + exponent_params*ln(N) + exponent_tokens*ln(D).
+
+    ``n_column`` names the parameter count N was fitted on: "N" (total) or
+    "N_a" (active).
+    """
 
     log_coefficient: float
     exponent_params: float
@@ -119,6 +123,7 @@ class PowerLawFit:
     residual_rms: float
     n_points: int
     fixed_exponents: tuple[str, ...] = ()
+    n_column: str = "N"
 
     def predict(self, params: float, tokens: float) -> float:
         return math.exp(self.log_coefficient
@@ -133,14 +138,17 @@ class PowerLawFit:
             "residual_rms": self.residual_rms,
             "n_points": self.n_points,
             "fixed_exponents": list(self.fixed_exponents),
+            "n_column": self.n_column,
         }
 
 
-def fit_hparam_power_law(points: Sequence[tuple[float, float, float]]) -> PowerLawFit:
+def fit_hparam_power_law(points: Sequence[tuple[float, float, float]],
+                         n_column: str = "N") -> PowerLawFit:
     """Least-squares power-law fit of value against (params, tokens).
 
-    ``points`` holds (N, D, value) triples. An exponent whose variable takes a
-    single distinct value is unidentifiable; it is fixed to 0 and reported in
+    ``points`` holds (N, D, value) triples, N being the ``n_column`` count,
+    which the fit records. An exponent whose variable takes a single distinct
+    value is unidentifiable; it is fixed to 0 and reported in
     ``fixed_exponents``. At least one more point than free parameters the
     design can distinguish is not required — exact interpolation (zero
     residual) is legitimate — but fewer points than free parameters, or a
@@ -190,6 +198,7 @@ def fit_hparam_power_law(points: Sequence[tuple[float, float, float]]) -> PowerL
         residual_rms=float(np.sqrt(np.mean(residuals ** 2))),
         n_points=len(pts),
         fixed_exponents=tuple(fixed),
+        n_column=n_column,
     )
 
 
@@ -210,7 +219,6 @@ class SweepRow:
     unique_tokens: int | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        from .arch import shape_to_json
         return {
             "shape": shape_to_json(self.shape),
             "budget": self.budget.to_json_dict(),
@@ -261,16 +269,14 @@ def build_sweep(fixed: str, value: float,
                 hparam_fits: tuple[PowerLawFit, PowerLawFit] | None = None,
                 row_hparams: Sequence[tuple[float, float]] | None = None,
                 reuse_scheme: str | None = None,
-                unique_tokens: int | None = None,
-                n_source: str = "total") -> SweepPlan:
+                unique_tokens: int | None = None) -> SweepPlan:
     """Build one activation-rate sweep at fixed compute ("C") or data ("D").
 
     Learning rate and batch size come either from ``row_hparams`` (one
     (eta, B) pair per shape) or from ``hparam_fits`` (an (eta_fit, batch_fit)
-    pair of power laws, evaluated at each row's parameter count and token
-    budget; predicted batch sizes snap to multiples of 8). ``n_source``
-    chooses whether fits see total or active parameters. Rows are sorted by
-    activation rate. An optional reuse scheme fills the epochs column.
+    pair of power laws, each evaluated at the row's token budget and at the
+    parameter count it was fitted on: active for "N_a", else total; predicted
+    batch sizes snap to multiples of 8). Rows are sorted by activation rate. An optional reuse scheme fills the epochs column.
     """
     if fixed not in ("C", "D"):
         raise PlannerError(f'fixed must be "C" or "D", got {fixed!r}')
@@ -284,8 +290,6 @@ def build_sweep(fixed: str, value: float,
         raise PlannerError(f"unknown reuse scheme {reuse_scheme!r}")
     if reuse_scheme == "strict" and not unique_tokens:
         raise PlannerError("strict reuse needs unique_tokens")
-    if n_source not in ("total", "active"):
-        raise PlannerError(f'n_source must be "total" or "active", got {n_source!r}')
 
     rows: list[SweepRow] = []
     for i, shape in enumerate(shapes):
@@ -301,10 +305,10 @@ def build_sweep(fixed: str, value: float,
             if not (0 < eta < math.inf and batch >= 1):
                 raise PlannerError(f"need finite eta > 0 and B >= 1, got {eta!r}, {batch!r}")
         else:
-            eta_fit, batch_fit = hparam_fits
-            n_for_fit = budget.total_params if n_source == "total" else budget.active_params
-            eta = eta_fit.predict(n_for_fit, tokens)
-            batch = snap_batch(batch_fit.predict(n_for_fit, tokens))
+            eta, batch = (fit.predict(budget.active_params if fit.n_column == "N_a"
+                                      else budget.total_params, tokens)
+                          for fit in hparam_fits)
+            batch = snap_batch(batch)
         iters = iterations(tokens, batch, shape.seq_len)
         epochs = 1.0
         unique = None
@@ -349,27 +353,3 @@ def sweep_to_csv_rows(plan: SweepPlan) -> tuple[list[str], list[list[Any]]]:
         ])
     return header, out
 
-
-def fit_points_from_table(rows: Iterable[dict[str, float]], value_column: str,
-                          nominal_params: float | None = None,
-                          n_column: str = "N",
-                          ra_filter: float | None = None) -> list[tuple[float, float, float]]:
-    """Extract (N, D, value) fit points from fixture-table rows.
-
-    ``n_column`` picks which parameter count the law sees ("N" uses the
-    table's nominal total, "N_a" the per-row active count). ``ra_filter``
-    keeps only rows whose r_a column matches to 0.01.
-    """
-    points = []
-    for row in rows:
-        if ra_filter is not None and abs(row.get("r_a", float("nan")) - ra_filter) > 0.01:
-            continue
-        if n_column == "N":
-            n = row.get("N", nominal_params)
-        else:
-            n = row.get(n_column)
-        if n is None:
-            raise PlannerError(f"rows carry no {n_column!r} column and no nominal was given")
-        tokens = row["D"] if "D" in row else 2.0 * row["D_hat"]
-        points.append((float(n), float(tokens), float(row[value_column])))
-    return points

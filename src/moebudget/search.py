@@ -24,6 +24,7 @@ from .arch import (
     ShapeError,
     derive_budget,
     layer_split,
+    shape_to_json,
 )
 from .errors import InfeasibleSpecError, SearchSpecError
 
@@ -99,7 +100,6 @@ class ConfigCandidate:
         return abs(self.delta_params_rel) + abs(self.delta_activation_abs)
 
     def to_json_dict(self) -> dict[str, Any]:
-        from .arch import shape_to_json
         return {
             "shape": shape_to_json(self.shape),
             "budget": self.budget.to_json_dict(),

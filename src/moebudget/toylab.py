@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .arch import read_fields
+from .arch import check_routing, read_fields
 from .errors import DivergenceError, ToyConfigError
 from .kernel import (
     BlockParams,
@@ -124,10 +124,7 @@ class ToyTrainConfig:
                 ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
-        if not 1 <= self.top_k <= self.experts:
-            raise ToyConfigError("need 1 <= top_k <= experts")
-        if self.normalized and self.top_k < 2:
-            raise ToyConfigError("normalized gating requires top_k >= 2")
+        check_routing(self.experts, self.top_k, self.normalized, ToyConfigError)
 
 
 _TASK_KEYS = (("vocab", "vocab"), ("seq_len", "seq_len"), ("clusters", "clusters"),
@@ -286,19 +283,9 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     model = _init_model(config, rng)
     theta, velocity, ws = model.theta, np.zeros_like(model.theta), Workspace()
     records: list[StepRecord] = []
-
-    def sample() -> tuple[np.ndarray, np.ndarray]:
+    for step in range(config.steps + 1):
         batch = config.task.sample_batch(rng, config.batch_sequences, distributions)
-        return batch[:, :-1].ravel(), batch[:, 1:].ravel()
-
-    inputs, targets = sample()
-    ce, bal, hist, _ = _forward_backward(model, inputs, targets, config.lam, ws)
-    records.append(StepRecord(step=0, ce_loss=ce, balance_loss=bal,
-                              expert_load_histogram=tuple(int(c) for c in hist),
-                              load_cv=_load_cv(hist)))
-
-    for step in range(1, config.steps + 1):
-        inputs, targets = sample()
+        inputs, targets = batch[:, :-1].ravel(), batch[:, 1:].ravel()
         try:
             ce, bal, hist, grad = _forward_backward(model, inputs, targets,
                                                     config.lam, ws)
@@ -306,12 +293,13 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
             raise DivergenceError(step) from exc
         if not (math.isfinite(ce) and math.isfinite(bal)):
             raise DivergenceError(step)
-        velocity *= config.momentum
-        velocity += grad
-        theta -= np.multiply(config.lr, velocity, out=grad)  # grad is spent
         records.append(StepRecord(step=step, ce_loss=ce, balance_loss=bal,
                                   expert_load_histogram=tuple(int(c) for c in hist),
                                   load_cv=_load_cv(hist)))
+        if step > 0:  # step 0 only evaluates the initial weights
+            velocity *= config.momentum
+            velocity += grad
+            theta -= np.multiply(config.lr, velocity, out=grad)  # grad is spent
     return TrainReport(config=config, steps=tuple(records))
 
 

@@ -24,7 +24,6 @@ from moebudget.kernel import (
 from moebudget.planner import (
     build_sweep,
     fit_hparam_power_law,
-    fit_points_from_table,
     loose_reuse,
     snap_batch,
     strict_reuse,
@@ -259,15 +258,13 @@ def test_criterion_4_uniform_routing_balance_floor():
 def test_criterion_5_hyperparameter_refit():
     table = load_table("moe_2b_fixed_data")
     nominal = table.meta["total_params"]
-    eta_points = fit_points_from_table(table.rows, "eta", nominal_params=nominal,
-                                       ra_filter=8.74)
+    eta_points = table.fit_points("eta", ra=8.74)
     fit = fit_hparam_power_law([eta_points[0], eta_points[-1]])
     assert abs(fit.exponent_tokens - 0.307) <= 0.005
     held_out = next(p for p in eta_points if abs(p[1] - 1.68e11) < 1e9)
     assert rel(fit.predict(nominal, held_out[1]), held_out[2]) <= 0.01
 
-    batch_points = fit_points_from_table(table.rows, "B", nominal_params=nominal,
-                                         ra_filter=8.74)
+    batch_points = table.fit_points("B", ra=8.74)
     batch_fit = fit_hparam_power_law([batch_points[0], batch_points[-1]])
     predicted = snap_batch(batch_fit.predict(nominal, 1.68e11))
     assert rel(predicted, 832) <= 0.05

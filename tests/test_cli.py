@@ -441,6 +441,40 @@ class TestPayloads:
                                "--shapes-file", str(shapes_file), "--csv"])
         assert ",epochs," in csv_result.payload.splitlines()[0]
 
+    def test_fit_hparams_records_its_parameter_count(self):
+        result = dispatch(["fit-hparams", "--from-fixture", "moe_7b_fixed_compute",
+                           "--target", "batch", "--n-column", "N_a"])
+        assert result.exit_code == 0
+        payload = json.loads(result.payload)
+        make_validator("power_law_fit.schema.json").validate(payload)
+        assert payload["n_column"] == "N_a"
+        assert payload["alt_n_column_residual_rms"] is not None
+        # the dense table has no active-count column, so it has no alternative fit
+        dense = json.loads(dispatch(["fit-hparams", "--from-fixture", "dense_baselines",
+                                     "--target", "eta"]).payload)
+        assert (dense["n_column"], dense["alt_n_column_residual_rms"]) == ("N", None)
+
+    def test_sweep_evaluates_the_fit_at_its_fitted_count(self, tmp_path):
+        from moebudget.fixtures import load_table
+        from moebudget.planner import fit_hparam_power_law
+        table = load_table("moe_7b_fixed_compute")
+        shapes_file = tmp_path / "shapes.json"
+        shapes_file.write_text(json.dumps([shape_to_json(table.row_shape(row))
+                                           for row in table.rows]))
+        argv = ["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file",
+                str(shapes_file), "--hparams-from", "moe_7b_fixed_compute"]
+        result = dispatch([*argv, "--n-column", "N_a"])
+        assert result.exit_code == 0
+        fit = fit_hparam_power_law(table.fit_points("eta", "N_a"), "N_a")
+        rows = json.loads(result.payload)["rows"]
+        assert len(rows) == len(table.rows)
+        for row in rows:
+            assert row["eta"] == fit.predict(row["budget"]["N_a"], row["budget"]["D"])
+        # the count follows from --n-column, so there is no flag to pick it
+        removed = dispatch([*argv, "--n-source", "total"])
+        assert (removed.exit_code, removed.payload) == (1, "")
+        assert "unrecognized arguments: --n-source total" in removed.diagnostics
+
     def test_grad_check_payload(self):
         result = dispatch(["grad-check", "--E", "4", "--K", "2", "--D_m", "5",
                            "--D_e", "3", "--seed", "1", "--trials", "2"])

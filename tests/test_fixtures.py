@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from moebudget.arch import MoEShape, derive_budget
+from moebudget.arch import MoEShape, derive_budget, shape_to_json
 from moebudget.cli import dispatch
 from moebudget.fixtures import (
     FIXTURES_ENV_VAR,
@@ -240,3 +243,90 @@ def test_non_finite_cell_is_a_fixture_error(tmp_path, argv, column, value):
     assert result.exit_code == 1
     assert result.payload == ""
     assert result.diagnostics == f"{path}:2: non-finite value {value!r} in column {column}"
+
+
+# -- the fixture index through every command that reads it --------------------
+
+def index_commands(directory, table):
+    """validate-fixtures, fit-hparams and sweep --hparams-from, each reading ``table``."""
+    shapes = directory / "sweep-shapes.json"
+    if not shapes.exists():
+        packaged = load_table("moe_7b_fixed_compute")
+        shapes.write_text(json.dumps([shape_to_json(packaged.row_shape(row))
+                                      for row in packaged.rows]))
+    return [
+        ["validate-fixtures", "--table", table, "--dir", str(directory)],
+        ["fit-hparams", "--from-fixture", table, "--target", "eta", "--dir", str(directory)],
+        ["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", str(shapes),
+         "--hparams-from", table, "--dir", str(directory)],
+    ]
+
+
+def write_index_edit(directory, table, edit):
+    index = json.loads((fixtures_dir() / "tables.json").read_text())
+    edit(index[table])
+    (directory / "tables.json").write_text(json.dumps(index))
+
+
+@pytest.mark.parametrize("command", [0, 1, 2], ids=["validate", "fit-hparams", "sweep"])
+@pytest.mark.parametrize("edit,key", [
+    pytest.param(lambda entry: entry.update(total_params="abc"), "total_params",
+                 id="total_params-string"),
+    pytest.param(lambda entry: entry.update(total_params=True), "total_params",
+                 id="total_params-true"),
+    # json.dumps writes a float inf as the bare Infinity literal, which json.loads accepts
+    pytest.param(lambda entry: entry.update(total_params=math.inf), "total_params",
+                 id="total_params-Infinity"),
+    pytest.param(lambda entry: entry.update(reuse_scheme="Strict"), "reuse_scheme",
+                 id="reuse_scheme-Strict"),
+    pytest.param(lambda entry: entry.update(seq_lne=2048), "seq_lne", id="unknown-key"),
+])
+def test_malformed_index_entry_exits_one(tmp_path, edit, key, command):
+    copy_tables(tmp_path)
+    write_index_edit(tmp_path, "moe_7b_strict_reuse", edit)
+    result = dispatch(index_commands(tmp_path, "moe_7b_strict_reuse")[command])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert key in result.diagnostics and "\n" not in result.diagnostics
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token} in a payload")
+
+
+_PACKAGED_INDEX = json.loads((fixtures_dir() / "tables.json").read_text())
+_EDIT_VALUES = ["x", True, None, -1, 0, 1.5, math.inf, [], {}]
+_ADDED_KEYS = ["seq_lne", "description", "total_params", "unique_tokens", "reuse_scheme",
+               "gate_normalized", "shared_expert_dim"]
+
+
+@st.composite
+def index_entry_edits(draw):
+    """(table, edit) where edit drops, adds or sets one key of the table's entry."""
+    table = draw(st.sampled_from(ALL_TABLES))
+    present = sorted(_PACKAGED_INDEX[table])
+    op = draw(st.sampled_from(["drop", "add", "set"]))
+    if op == "drop":
+        key = draw(st.sampled_from(present))
+        return table, lambda entry: entry.pop(key)
+    pool = present if op == "set" else [k for k in _ADDED_KEYS if k not in present]
+    key, value = draw(st.sampled_from(pool)), draw(st.sampled_from(_EDIT_VALUES))
+    return table, lambda entry: entry.update({key: value})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=index_entry_edits())
+def test_any_one_key_index_edit_keeps_the_cli_contract(tmp_path, case):
+    table, edit = case
+    if not (tmp_path / "dense_baselines.csv").exists():
+        copy_tables(tmp_path)
+    write_index_edit(tmp_path, table, edit)
+    for argv in index_commands(tmp_path, table):
+        result = dispatch(argv)
+        assert result.exit_code in (0, 1, 2, 3), (argv, result)
+        assert "\n" not in result.diagnostics, (argv, result)
+        if result.exit_code == 1:
+            assert result.payload == "", (argv, result)
+        if result.payload:
+            json.loads(result.payload, parse_constant=_reject_constant)

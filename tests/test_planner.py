@@ -15,7 +15,6 @@ from moebudget.planner import (
     PowerLawFit,
     build_sweep,
     fit_hparam_power_law,
-    fit_points_from_table,
     iterations,
     loose_reuse,
     snap_batch,
@@ -209,11 +208,8 @@ class TestBuildSweep:
 
     def test_fitted_hparams_fill_rows(self):
         table, shapes = moe_7b_shapes()
-        nominal = table.meta["total_params"]
-        eta_fit = fit_hparam_power_law(
-            fit_points_from_table(table.rows, "eta", nominal_params=nominal))
-        batch_fit = fit_hparam_power_law(
-            fit_points_from_table(table.rows, "B", nominal_params=nominal))
+        eta_fit = fit_hparam_power_law(table.fit_points("eta"))
+        batch_fit = fit_hparam_power_law(table.fit_points("B"))
         plan = build_sweep("C", 2.86e21, shapes, hparam_fits=(eta_fit, batch_fit))
         plan.validate()
         for planned, row in zip(plan.rows, table.rows):

@@ -67,6 +67,14 @@ def test_divergence_step_is_pinned(seed):
     assert excinfo.value.step == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_at_the_initial_evaluation_is_step_zero():
+    # weights that overflow before any update diverge at the step-0 evaluation
+    with pytest.raises(DivergenceError) as excinfo:
+        run_toy_training(ToyTrainConfig(init_scale=1e200, steps=2, batch_sequences=2))
+    assert excinfo.value.step == 0
+
+
 def test_embedding_gradient_matches_add_at():
     # ids 3 and 0 repeat, most of the vocabulary is absent
     config = ToyTrainConfig(task=ToyTask(vocab=16), steps=1)
