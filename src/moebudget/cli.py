@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from . import arch, fixtures, planner
+# every command needs these two; each _cmd_* imports the rest of what it runs
+from . import arch
 from .errors import CliUsageError, MoebudgetError
-from .search import SearchSpec, dense_baseline, search
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -141,6 +141,7 @@ def _cmd_plan(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_budget(args: argparse.Namespace) -> CommandResult:
+    from . import planner
     shape = arch.shape_from_json(_read_json(args.shape_file, "shape file"))
     probe = arch.derive_budget(shape)
     tokens = planner.tokens_for_compute(args.compute, probe.fwd_flops_per_token)
@@ -149,6 +150,7 @@ def _cmd_budget(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_search(args: argparse.Namespace) -> CommandResult:
+    from .search import SearchSpec, search
     result = search(SearchSpec(**_given(args)))
     if not result.candidates:
         diagnostics = "; ".join(result.diagnostics) or "no feasible configuration"
@@ -175,18 +177,15 @@ def _cmd_search(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_dense_baseline(args: argparse.Namespace) -> CommandResult:
+    from .search import dense_baseline
     shape = dense_baseline(**_given(args))
     budget = arch.derive_budget(shape)
     return CommandResult(EXIT_OK, _budget_payload(args, shape, budget))
 
 
 def _cmd_reuse(args: argparse.Namespace) -> CommandResult:
-    if args.scheme == "strict":
-        if args.unique_tokens is None:
-            raise CliUsageError("strict reuse requires --unique-tokens")
-        plan = planner.strict_reuse(args.tokens, args.unique_tokens)
-    else:
-        plan = planner.loose_reuse(args.tokens)
+    from . import planner
+    plan = planner.reuse_plan(args.scheme, args.tokens, args.unique_tokens)
     return CommandResult(EXIT_OK, _payload(args, plan.to_json_dict()), plan.warning or "")
 
 
@@ -195,6 +194,7 @@ def _table_name(raw: str) -> str:
 
 
 def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
+    from . import fixtures, planner
     table = fixtures.load_table(_table_name(args.from_fixture), args.dir)
     column = {"eta": "eta", "batch": "B"}[args.target]
     fit = planner.fit_hparam_power_law(table.fit_points(column, args.n_column, args.ra),
@@ -213,20 +213,26 @@ def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
+    from . import planner
     entries = _read_json(args.shapes_file, "shapes file")
     if not isinstance(entries, list) or not entries:
         raise CliUsageError("shapes file must hold a nonempty JSON list")
-    shapes, row_hparams = [], []
+    shapes, row_hparams, carries_hparams = [], [], False
     for entry in entries:
         wrapped = isinstance(entry, dict) and "shape" in entry
         if wrapped and not set(entry) <= {"shape", "eta", "B"}:
             raise CliUsageError(f"shapes file entry keys must be among shape, eta, B; "
                                 f"got {sorted(entry)}")
         shapes.append(arch.shape_from_json(entry["shape"] if wrapped else entry))
+        carries_hparams |= wrapped and ("eta" in entry or "B" in entry)
         if wrapped and "eta" in entry and "B" in entry:
             row_hparams.append((entry["eta"], entry["B"]))
     fits = None
     if args.hparams_from is not None:
+        if carries_hparams:
+            raise CliUsageError("--hparams-from refits eta and B, so the shapes file "
+                                "entries must not give them")
+        from . import fixtures  # only a refit reads a fixture table
         table = fixtures.load_table(_table_name(args.hparams_from), args.dir)
         fits = tuple(planner.fit_hparam_power_law(table.fit_points(column, args.n_column),
                                                   args.n_column) for column in ("eta", "B"))
@@ -236,7 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
             "--hparams-from <fixture table>")
     plan = planner.build_sweep(
         fixed=args.fixed.upper(), value=args.value, shapes=shapes, hparam_fits=fits,
-        row_hparams=None if fits else row_hparams,
+        row_hparams=row_hparams or None,
         reuse_scheme=args.reuse, unique_tokens=args.unique_tokens)
     plan.validate()
     return CommandResult(EXIT_OK, _payload(args, plan.to_json_dict(),
@@ -271,6 +277,7 @@ def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_validate_fixtures(args: argparse.Namespace) -> CommandResult:
+    from . import fixtures
     names = args.table if args.table else None
     report = fixtures.validate_fixture_tables(names, args.dir)
 

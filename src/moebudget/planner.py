@@ -102,6 +102,26 @@ def loose_reuse(consumed_tokens: int) -> ReusePlan:
                      consumed_tokens=consumed_tokens, epochs=2.0)
 
 
+def reuse_plan(scheme: str | None, consumed_tokens: int,
+               unique_tokens: int | None = None) -> ReusePlan | None:
+    """The ``scheme`` schedule over ``consumed_tokens``; None when scheme is None.
+
+    Only strict reuse takes ``unique_tokens``, and it needs them: loose reuse
+    fixes its subset at half the budget, so a count given there, or with no
+    scheme, is a PlannerError rather than ignored.
+    """
+    if scheme == "strict":
+        if unique_tokens is None:
+            raise PlannerError("strict reuse needs unique_tokens")
+        return strict_reuse(consumed_tokens, unique_tokens)
+    if scheme not in (None, "loose"):
+        raise PlannerError(f"unknown reuse scheme {scheme!r}")
+    if unique_tokens is not None:
+        raise PlannerError(f"unique_tokens applies only to strict reuse, not to "
+                           f"{scheme or 'no'} reuse")
+    return loose_reuse(consumed_tokens) if scheme else None
+
+
 @dataclass(frozen=True)
 class PowerLawFit:
     """ln(value) = log_coefficient + exponent_params*ln(N) + exponent_tokens*ln(D).
@@ -264,8 +284,9 @@ def build_sweep(fixed: str, value: int | float,
     (eta, B) pair per shape) or from ``hparam_fits`` (an (eta_fit, batch_fit)
     pair of power laws, each evaluated at the row's token budget and at the
     parameter count it was fitted on: active for "N_a", else total; predicted
-    batch sizes snap to multiples of 8). Rows are sorted by activation rate. An
-    optional reuse scheme fills the epochs column.
+    batch sizes snap to multiples of 8). A row too small for one optimizer step
+    is a PlannerError. Rows are sorted by activation rate. An optional reuse
+    scheme, read by ``reuse_plan``, fills the epochs column.
     """
     if fixed not in ("C", "D"):
         raise PlannerError(f'fixed must be "C" or "D", got {fixed!r}')
@@ -276,15 +297,12 @@ def build_sweep(fixed: str, value: int | float,
         raise PlannerError("row_hparams must supply one (eta, B) pair per shape")
     if row_hparams is None and hparam_fits is None:
         raise PlannerError("supply either row_hparams or hparam_fits")
-    if reuse_scheme not in (None, "strict", "loose"):
-        raise PlannerError(f"unknown reuse scheme {reuse_scheme!r}")
-    if reuse_scheme == "strict" and not unique_tokens:
-        raise PlannerError("strict reuse needs unique_tokens")
 
     rows: list[SweepRow] = []
     for i, shape in enumerate(shapes):
         probe = derive_budget(shape)
         tokens = tokens_for_compute(value, probe.fwd_flops_per_token) if fixed == "C" else value
+        reuse = reuse_plan(reuse_scheme, tokens, unique_tokens)
         if tokens == 0:
             raise PlannerError(f"shape {i}: compute {value} buys 0 tokens at "
                                f"{probe.train_flops_per_token} FLOPs per token")
@@ -300,14 +318,10 @@ def build_sweep(fixed: str, value: int | float,
                           for fit in hparam_fits)
             batch = snap_batch(batch)
         iters = iterations(tokens, batch, shape.seq_len)
-        epochs = 1.0
-        unique = None
-        if reuse_scheme == "strict":
-            plan = strict_reuse(tokens, unique_tokens)
-            epochs, unique = plan.epochs, plan.unique_tokens
-        elif reuse_scheme == "loose":
-            plan = loose_reuse(tokens)
-            epochs, unique = plan.epochs, plan.unique_tokens
+        if iters == 0:
+            raise PlannerError(f"shape {i}: {tokens} tokens make no optimizer step of "
+                               f"{batch} sequences of {shape.seq_len} tokens")
+        epochs, unique = (reuse.epochs, reuse.unique_tokens) if reuse else (1.0, None)
         rows.append(SweepRow(shape=shape, budget=budget, eta=eta, batch_sequences=batch,
                              iterations=iters, warmup_iters=warmup_iters(iters),
                              epochs=epochs, unique_tokens=unique))

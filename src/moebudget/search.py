@@ -162,8 +162,8 @@ def search(spec: SearchSpec) -> SearchResult:
     skip_counts: dict[str, int] = {}
     scored: list[tuple[tuple, ConfigCandidate]] = []
 
-    def skip(reason: str) -> None:
-        skip_counts[reason] = skip_counts.get(reason, 0) + 1
+    def skip(reason: str, count: int = 1) -> None:
+        skip_counts[reason] = skip_counts.get(reason, 0) + count
 
     for layers, model_dim, ffn_dim, moe_layers, dense_layers in _layer_grid(spec):
         alpha_term = 4 + 3 * ffn_dim / model_dim
@@ -179,13 +179,15 @@ def search(spec: SearchSpec) -> SearchResult:
         active_width = beta * model_dim  # shared_dim + top_k * expert_dim
 
         # a top_k above max_experts needs more experts than the cap allows
-        for top_k in range(1, min(spec.k_max, spec.max_experts) + 1):
+        top_k_max = min(spec.k_max, spec.max_experts)
+        for top_k in range(1, top_k_max + 1):
             # shared expert pinned at top_k * expert_dim, so each side gets half
             expert_dim = _snap(active_width / (2 * top_k), spec.expert_dim_multiple)
             if expert_dim < spec.expert_dim_multiple:
+                # expert_dim never grows with top_k: every larger top_k rounds to zero too
                 skip(f"expert_dim rounds to zero on the multiple-of-"
-                     f"{spec.expert_dim_multiple} grid")
-                continue
+                     f"{spec.expert_dim_multiple} grid", top_k_max - top_k + 1)
+                break
             shared_dim = top_k * expert_dim
             experts_f = (mu * model_dim - shared_dim) / expert_dim
             experts = int(experts_f + 0.5)

@@ -4,18 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 import moebudget
 from moebudget.arch import derive_budget, shape_from_json, shape_to_json
-from moebudget.cli import dispatch
+from moebudget.cli import CommandResult, dispatch
 from moebudget.kernel import GradCheckSettings, grad_check
 from moebudget.search import SearchSpec, search
 from moebudget.toylab import ToyTrainConfig, run_toy_training
@@ -359,7 +360,8 @@ def _sweep_argv(fixed, value):
 _SEARCH = ["search", "--target-n", "6.52e9", "--target-ra", "0.2"]
 _DENSE = ["dense-baseline", "--target-n", "6.48e9", "--zeta", "128", "--alpha", "2.69"]
 _REUSE = ["reuse", "--scheme", "strict", "--tokens", "5.11e11", "--unique-tokens", "6.8e10"]
-# (valid command, one of its flags): each flag of the six planning commands
+# (valid command, flags set together to one value): each flag of the six planning
+# commands alone, and the two caps on search's top_k together
 PLANNING_FLAGS = [
     (["plan", "moe", "--shape-file", "{moe}", "--tokens", "3.16e11"], "--tokens"),
     (["budget", "--compute", "2.86e21", "--shape-file", "{moe}"], "--compute"),
@@ -371,19 +373,23 @@ PLANNING_FLAGS = [
     (_REUSE, "--tokens"), (_REUSE, "--unique-tokens"),
     (_sweep_argv("c", "2.86e21"), "--value"), (_sweep_argv("d", "3.16e11"), "--value"),
     (_sweep_argv("c", "2.86e21"), "--unique-tokens"),
+    (_SEARCH, "--k-max", "--max-experts"),
 ]
 FUZZ_VALUES = ["0", "1", "0.5", "1e-300", "1e300", "-1", str(2**70)]
 
 
 class TestPlanningCommandsContract:
-    """Any one flag of a planning command set to an edge value keeps the CLI contract."""
+    """A planning command keeps the CLI contract with any one flag, or search's two
+    top_k caps together, set to an edge value."""
 
     @given(case=st.sampled_from(PLANNING_FLAGS), value=st.sampled_from(FUZZ_VALUES))
+    @example(case=PLANNING_FLAGS[-1], value=str(2**70))
     @settings(max_examples=200, deadline=3000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_edge_flag_values(self, planning_files, case, value):
-        command, flag = case
-        argv = [a.format(**planning_files) for a in command] + [f"{flag}={value}"]
+        command, *flags = case
+        argv = [a.format(**planning_files) for a in command] + [f"{flag}={value}"
+                                                                for flag in flags]
         result = dispatch(argv)
         assert result.exit_code in (0, 1, 2, 3), (argv, result)
         assert "\n" not in result.diagnostics, (argv, result)
@@ -401,6 +407,33 @@ class TestPlanningCommandsContract:
         result = dispatch(argv)
         assert (result.exit_code, result.payload) == (1, "")
         assert message in result.diagnostics and "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("value", ["1", "1000"])
+    def test_sweep_row_of_no_optimizer_step(self, planning_files, value):
+        argv = [a.format(**planning_files) for a in _sweep_argv("d", value)]
+        result = dispatch(argv)
+        assert (result.exit_code, result.payload) == (1, "")
+        assert result.diagnostics.startswith(f"shape 0: {value} tokens make no optimizer "
+                                             f"step of ")
+
+    @pytest.mark.parametrize("argv,scheme", [
+        (["reuse", "--scheme", "loose", "--tokens", "10"], "loose"),
+        (_sweep_argv("c", "2.86e21")[:-4], "no"),
+        (_sweep_argv("c", "2.86e21")[:-4] + ["--reuse", "loose"], "loose"),
+    ])
+    def test_unique_tokens_outside_strict_reuse_rejected(self, planning_files, argv,
+                                                         scheme):
+        argv = [a.format(**planning_files) for a in argv] + ["--unique-tokens", "5"]
+        assert dispatch(argv) == CommandResult(
+            1, "", f"unique_tokens applies only to strict reuse, not to {scheme} reuse")
+
+    def test_shapes_file_hparams_with_a_refit_rejected(self, tmp_path):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([{"shape": MOE_7B_SHAPE, "eta": 1e-3, "B": 24}]))
+        result = dispatch(["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file",
+                           str(shapes), "--hparams-from", "moe_7b_fixed_compute"])
+        assert result == CommandResult(1, "", "--hparams-from refits eta and B, so the "
+                                              "shapes file entries must not give them")
 
     def test_ra_filter_needs_an_r_a_column(self):
         result = dispatch(["fit-hparams", "--from-fixture", "dense_baselines",
@@ -442,6 +475,18 @@ class TestPlanningCommandsContract:
         result = dispatch([*_SEARCH, "--k-max", str(2**70)])
         assert result.exit_code == capped.exit_code == 0
         assert result.payload == capped.payload
+
+    def test_huge_k_max_and_expert_cap_skip_in_one_step(self):
+        # enumerating each top_k up to 2**70 never returns, so wait in a thread
+        results = []
+        argv = [*_SEARCH, "--k-max", str(2**70), "--max-experts", str(2**70)]
+        worker = threading.Thread(target=lambda: results.append(dispatch(argv)), daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and results[0].exit_code == 0
+        assert _strict_json(results[0].payload)["diagnostics"] == [
+            "4722366482869645212870 (layers, top_k) combinations skipped: expert_dim rounds "
+            "to zero on the multiple-of-32 grid"]
 
 
 class TestDefaultsStatedOnce:
@@ -635,37 +680,49 @@ class TestIdempotence:
 
 
 # Runs each command through cli.main in the interpreter it is started in and
-# prints its exit code and which of the numpy-backed modules it loaded.
+# prints its exit code, the moebudget modules loaded and whether numpy loaded.
 _PROBE = """
 import contextlib, io, json, sys
 from moebudget.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print(json.dumps([code, [m for m in ("numpy", "moebudget.kernel", "moebudget.toylab")
-                             if m in sys.modules]]))
+    print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("moebudget")),
+                      "numpy" in sys.modules]))
 """
 
 
 class TestNumpyFreeCommands:
-    """The bookkeeping commands never import numpy, kernel or toylab."""
+    """Each planning command loads only the modules it runs; the bookkeeping
+    commands never import numpy, kernel or toylab."""
 
     def test_planning_commands_leave_numpy_unloaded(self, tmp_path, moe_shape_file):
         shapes = tmp_path / "shapes.json"
         shapes.write_text(json.dumps([{"shape": MOE_7B_SHAPE, "eta": 1e-3, "B": 512}]))
+        bare_shapes = tmp_path / "bare_shapes.json"
+        bare_shapes.write_text(json.dumps([MOE_7B_SHAPE]))
         config = tmp_path / "toy.json"
         config.write_text(json.dumps({"steps": 2}))
+        # (argv, the modules it loads beyond arch, cli, errors and search, numpy loaded)
         planning = [
-            ["plan", "moe", "--shape-file", moe_shape_file, "--tokens", "1e9"],
-            ["budget", "--compute", "2.86e21", "--shape-file", moe_shape_file],
-            ["search", "--target-n", "6.52e9", "--target-ra", "0.2"],
-            ["dense-baseline", "--target-n", "6.52e9", "--zeta", "128", "--alpha", "2.7"],
-            ["reuse", "--scheme", "loose", "--tokens", "1000000"],
-            ["validate-fixtures", "--table", "dense_baselines"],
-            ["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", str(shapes)],
+            (["plan", "moe", "--shape-file", moe_shape_file, "--tokens", "1e9"], [], False),
+            (["budget", "--compute", "2.86e21", "--shape-file", moe_shape_file],
+             ["planner"], False),
+            (["search", "--target-n", "6.52e9", "--target-ra", "0.2"], [], False),
+            (["dense-baseline", "--target-n", "6.52e9", "--zeta", "128", "--alpha", "2.7"],
+             [], False),
+            (["reuse", "--scheme", "loose", "--tokens", "1000000"], ["planner"], False),
+            (["validate-fixtures", "--table", "dense_baselines"], ["fixtures", "planner"],
+             False),
+            (["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", str(shapes)],
+             ["planner"], False),
+            (["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file",
+              str(bare_shapes), "--hparams-from", "moe_7b_fixed_compute"],
+             ["fixtures", "planner"], True),
+            (["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
+             ["fixtures", "planner"], True),
         ]
         numeric = [
-            ["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
             ["grad-check", "--trials", "1"],
             ["train-toy", "--config", str(config)],
         ]
@@ -673,14 +730,16 @@ class TestNumpyFreeCommands:
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         # one fresh interpreter per planning command, all started before any is awaited
-        batches = [[argv] for argv in planning] + [numeric]
+        batches = [[argv] for argv, _, _ in planning] + [numeric]
         procs = [subprocess.Popen([sys.executable, "-c", _PROBE, json.dumps(batch)],
                                   env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                   text=True) for batch in batches]
         outputs = [proc.communicate(timeout=60) for proc in procs]
         results = [json.loads(line) for out, _ in outputs for line in out.splitlines()]
         assert len(results) == len(planning) + len(numeric), [err for _, err in outputs]
-        for argv, (code, loaded) in zip(planning, results):
-            assert (argv[0], code, loaded) == (argv[0], 0, [])
-        for argv, (code, _) in zip(numeric, results[len(planning):]):
+        for (argv, extra, numpy), result in zip(planning, results):
+            modules = sorted(["moebudget", *(f"moebudget.{m}" for m in
+                                             ["arch", "cli", "errors", "search", *extra])])
+            assert [argv[0], *result] == [argv[0], 0, modules, numpy]
+        for argv, (code, _, _) in zip(numeric, results[len(planning):]):
             assert (argv[0], code) == (argv[0], 0)

@@ -1,6 +1,7 @@
 """One error hierarchy: exit codes, bases, and the names modules re-export."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -55,9 +56,12 @@ def test_dispatch_maps_each_class_to_its_exit_code(monkeypatch, module, name, ba
 
 
 def test_every_lazy_export_resolves():
-    # a stale entry in the lazy table would otherwise fail only when first used
-    for module, names in moebudget._LAZY.items():
+    # a stale entry in the export table would otherwise fail only when first used
+    for module, names in moebudget._EXPORTS.items():
         owner = importlib.import_module(f"moebudget.{module}")
-        assert getattr(moebudget, module) is owner
+        if module != "search":
+            assert getattr(moebudget, module) is owner
         for name in names:
             assert getattr(moebudget, name) is getattr(owner, name), name
+    # the search entry point, not the submodule that importing it binds
+    assert moebudget.search is sys.modules["moebudget.search"].search
