@@ -1,14 +1,18 @@
 """Experiment planning: token budgets, data-reuse schedules, iteration and
 warmup arithmetic, hyperparameter power-law refits, and sweep construction.
 
-All planning is pure arithmetic over budgets; the power-law fit is a direct
-least-squares solve in log space, so identical inputs give identical plans.
+All planning is pure arithmetic over budgets, with counts kept as exact
+integers. The power-law fit solves the least-squares normal equations in log
+space exactly, in integers, and rounds each coefficient once, so identical
+inputs give identical plans on every platform.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Any, Sequence
 
 from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value, shape_to_json
@@ -47,10 +51,17 @@ def tokens_for_compute(train_compute: float, fwd_flops_per_token: float) -> int:
 
 
 def iterations(tokens: int, batch_sequences: int, seq_len: int) -> int:
-    """Optimizer steps to consume a token budget: round(D / (B * S))."""
+    """Optimizer steps to consume a token budget: D / (B * S), rounded half to even.
+
+    Exact for every count: float division would lose the low bits above 2**53.
+    """
     if batch_sequences < 1 or seq_len < 1:
         raise PlannerError("batch_sequences and seq_len must be >= 1")
-    return round(tokens / (batch_sequences * seq_len))
+    per_step = batch_sequences * seq_len
+    steps, rest = divmod(tokens, per_step)
+    if 2 * rest > per_step or (2 * rest == per_step and steps % 2):
+        steps += 1
+    return steps
 
 
 def warmup_iters(total_iters: int) -> int:
@@ -147,6 +158,44 @@ class PowerLawFit:
         return asdict(self)
 
 
+def _det(matrix: list[list[int]]) -> int:
+    """Determinant of a small integer matrix, by cofactors along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum((-1) ** j * matrix[0][j] * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j in range(len(matrix)))
+
+
+def _eigenvalue_ratio(gram: list[list[int]]) -> float:
+    """lambda_min / lambda_max of a positive semidefinite integer matrix of order <= 3.
+
+    The characteristic polynomial's coefficients (sums of principal minors) are
+    exact. The largest eigenvalue comes from its trigonometric root formula; the
+    smallest is the determinant over the product of the others, so that a
+    near-zero eigenvalue keeps its relative accuracy.
+    """
+    m = len(gram)
+    e = [sum(_det([[gram[i][j] for j in idx] for i in idx])
+             for idx in combinations(range(m), k)) for k in range(1, m + 1)]
+    if m == 1:
+        return 1.0
+    e1 = e[0]  # > 0: the intercept column is nonzero
+    if m == 3:
+        a = e1 * e1 - 3 * e[1]
+        b = 2 * e1 ** 3 - 9 * e1 * e[1] + 27 * e[2]
+        # b**2 <= 4 a**3 exactly (three real roots), so the rounded ratio is <= 1
+        cos3 = math.copysign(math.sqrt(b * b / (4 * a ** 3)), b) if a else 1.0
+        top = (1 + 2 * math.sqrt(a / e1 ** 2) * math.cos(math.acos(cos3) / 3)) / 3
+        # the other two eigenvalues, relative to e1: their product and their sum
+        prod = e[2] / e1 ** 3 / top
+        total = (e[1] / e1 ** 2 - prod) / top
+    else:
+        top, total, prod = None, 1.0, e[1] / e1 ** 2
+    upper = (total + math.sqrt(max(0.0, total * total - 4 * prod))) / 2
+    lower = prod / upper if upper else 0.0
+    return lower / (top or upper)
+
+
 def fit_hparam_power_law(points: Sequence[tuple[float, float, float]],
                          n_column: str = "N") -> PowerLawFit:
     """Least-squares power-law fit of value against (params, tokens).
@@ -158,49 +207,69 @@ def fit_hparam_power_law(points: Sequence[tuple[float, float, float]],
     design can distinguish is not required — exact interpolation (zero
     residual) is legitimate — but fewer points than free parameters, or a
     collinear ln N / ln D design, raises IdentifiabilityError.
+
+    The normal equations over the float logs are formed and solved exactly in
+    integers. Each coefficient is rounded to float once, and the residual RMS
+    is the square root of the exact mean square, so the fit is the same on
+    every platform and for every point order.
+    The rank rule is ``numpy.linalg.lstsq``'s default, written on the Gram matrix
+    G = X^T X of the M x N design X: rank-deficient when
+    lambda_min(G) <= (eps * max(M, N))**2 * lambda_max(G).
     """
-    import numpy as np  # the rest of the planner is numpy-free
     pts = [(float(n), float(d), float(v)) for n, d, v in points]
     if not pts:
         raise IdentifiabilityError("no points supplied")
     for n, d, v in pts:
         if n <= 0 or d <= 0 or v <= 0:
             raise PlannerError(f"points must be positive, got ({n}, {d}, {v})")
-    log_n = np.log([p[0] for p in pts])
-    log_d = np.log([p[1] for p in pts])
-    log_v = np.log([p[2] for p in pts])
+    logs = [[math.log(x) for x in p] for p in pts]  # ln N, ln D, ln value
 
-    def varies(column: np.ndarray) -> bool:
-        return bool(np.ptp(column) > 1e-12)
-
-    columns = [np.ones(len(pts))]
+    columns: list[int] = []
     names: list[str] = []
     fixed: list[str] = []
-    for name, column in (("params", log_n), ("tokens", log_d)):
-        if varies(column):
-            columns.append(column)
+    for col, name in ((0, "params"), (1, "tokens")):
+        values = [row[col] for row in logs]
+        if max(values) - min(values) > 1e-12:
+            columns.append(col)
             names.append(name)
         else:
             fixed.append(name)
-    design = np.column_stack(columns)
-    if len(pts) < design.shape[1]:
+    m = 1 + len(columns)
+    if len(pts) < m:
         missing = " and ".join(names) if names else "the intercept"
         raise IdentifiabilityError(
-            f"{len(pts)} points cannot identify {design.shape[1]} coefficients "
+            f"{len(pts)} points cannot identify {m} coefficients "
             f"(fitting {missing}); add points varying in "
             f"{', '.join(names) or 'value'}")
-    solution, _, rank, _ = np.linalg.lstsq(design, log_v, rcond=None)
-    if rank < design.shape[1]:
+    # Every float log is an integer multiple of 1/scale, scale a power of two.
+    scale = max(x.as_integer_ratio()[1] for row in logs for x in row)
+
+    def scaled(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return num * (scale // den)
+
+    design = [[scale] + [scaled(row[col]) for col in columns] for row in logs]
+    target = [scaled(row[2]) for row in logs]
+    gram = [[sum(r[i] * r[j] for r in design) for j in range(m)] for i in range(m)]
+    if _eigenvalue_ratio(gram) <= (sys.float_info.epsilon * max(len(pts), m)) ** 2:
         raise IdentifiabilityError(
             "design matrix is rank-deficient: ln(params) and ln(tokens) are "
             "collinear across the supplied points; vary them independently")
-    residuals = log_v - design @ solution
+    moments = [sum(r[i] * y for r, y in zip(design, target)) for i in range(m)]
+    det = _det(gram)
+    # Cramer's rule: coefficient j is numerators[j] / det
+    numerators = [_det([row[:j] + [mom] + row[j + 1:] for row, mom in zip(gram, moments)])
+                  for j in range(m)]
+    # each residual times det * scale is an integer, so its sum of squares is exact
+    squares = sum((y * det - sum(x * num for x, num in zip(r, numerators))) ** 2
+                  for r, y in zip(design, target))
+    solution = [num / det for num in numerators]  # int / int: correctly rounded
     coeffs = dict(zip(names, solution[1:]))
     return PowerLawFit(
-        log_coefficient=float(solution[0]),
-        exponent_params=float(coeffs.get("params", 0.0)),
-        exponent_tokens=float(coeffs.get("tokens", 0.0)),
-        residual_rms=float(np.sqrt(np.mean(residuals ** 2))),
+        log_coefficient=solution[0],
+        exponent_params=coeffs.get("params", 0.0),
+        exponent_tokens=coeffs.get("tokens", 0.0),
+        residual_rms=math.sqrt(squares / (len(pts) * (det * scale) ** 2)),
         n_points=len(pts),
         fixed_exponents=tuple(fixed),
         n_column=n_column,
@@ -239,7 +308,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepPlan:
     fixed: str          # "C" or "D"
-    fixed_value: float
+    fixed_value: int
     rows: tuple[SweepRow, ...]
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -326,7 +395,7 @@ def build_sweep(fixed: str, value: int | float,
                              iterations=iters, warmup_iters=warmup_iters(iters),
                              epochs=epochs, unique_tokens=unique))
     rows.sort(key=lambda r: (r.budget.activation_rate, r.budget.total_params))
-    return SweepPlan(fixed=fixed, fixed_value=float(value), rows=tuple(rows))
+    return SweepPlan(fixed=fixed, fixed_value=value, rows=tuple(rows))
 
 
 def sweep_to_csv_rows(plan: SweepPlan) -> tuple[list[str], list[list[Any]]]:

@@ -588,6 +588,16 @@ class TestPayloads:
                                "--shapes-file", str(shapes_file), "--csv"])
         assert ",epochs," in csv_result.payload.splitlines()[0]
 
+    def test_sweep_counts_stay_exact_above_2_53(self, tmp_path):
+        shapes_file = tmp_path / "shapes.json"
+        shapes_file.write_text(json.dumps([{"shape": MOE_7B_SHAPE, "eta": 1e-3, "B": 1}]))
+        value = 2**70 + 2048  # float division gives 2**59 steps, not 2**59 + 1
+        result = dispatch(["sweep", "--fixed", "d", "--value", str(value),
+                           "--shapes-file", str(shapes_file)])
+        payload = json.loads(result.payload)
+        make_validator("sweep_plan.schema.json").validate(payload)
+        assert (payload["fixed_value"], payload["rows"][0]["Iters"]) == (value, 2**59 + 1)
+
     def test_fit_hparams_records_its_parameter_count(self):
         result = dispatch(["fit-hparams", "--from-fixture", "moe_7b_fixed_compute",
                            "--target", "batch", "--n-column", "N_a"])
@@ -680,7 +690,8 @@ class TestIdempotence:
 
 
 # Runs each command through cli.main in the interpreter it is started in and
-# prints its exit code, the moebudget modules loaded and whether numpy loaded.
+# prints its exit code, the moebudget modules loaded and whether numpy and
+# fractions loaded.
 _PROBE = """
 import contextlib, io, json, sys
 from moebudget.cli import main
@@ -688,13 +699,13 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("moebudget")),
-                      "numpy" in sys.modules]))
+                      "numpy" in sys.modules, "fractions" in sys.modules]))
 """
 
 
 class TestNumpyFreeCommands:
-    """Each planning command loads only the modules it runs; the bookkeeping
-    commands never import numpy, kernel or toylab."""
+    """Each planning command loads only the modules it runs; none imports
+    numpy, kernel or toylab, and the exact power-law refit needs no fractions."""
 
     def test_planning_commands_leave_numpy_unloaded(self, tmp_path, moe_shape_file):
         shapes = tmp_path / "shapes.json"
@@ -703,24 +714,22 @@ class TestNumpyFreeCommands:
         bare_shapes.write_text(json.dumps([MOE_7B_SHAPE]))
         config = tmp_path / "toy.json"
         config.write_text(json.dumps({"steps": 2}))
-        # (argv, the modules it loads beyond arch, cli, errors and search, numpy loaded)
+        # (argv, the modules it loads beyond arch, cli, errors and search)
         planning = [
-            (["plan", "moe", "--shape-file", moe_shape_file, "--tokens", "1e9"], [], False),
-            (["budget", "--compute", "2.86e21", "--shape-file", moe_shape_file],
-             ["planner"], False),
-            (["search", "--target-n", "6.52e9", "--target-ra", "0.2"], [], False),
+            (["plan", "moe", "--shape-file", moe_shape_file, "--tokens", "1e9"], []),
+            (["budget", "--compute", "2.86e21", "--shape-file", moe_shape_file], ["planner"]),
+            (["search", "--target-n", "6.52e9", "--target-ra", "0.2"], []),
             (["dense-baseline", "--target-n", "6.52e9", "--zeta", "128", "--alpha", "2.7"],
-             [], False),
-            (["reuse", "--scheme", "loose", "--tokens", "1000000"], ["planner"], False),
-            (["validate-fixtures", "--table", "dense_baselines"], ["fixtures", "planner"],
-             False),
+             []),
+            (["reuse", "--scheme", "loose", "--tokens", "1000000"], ["planner"]),
+            (["validate-fixtures", "--table", "dense_baselines"], ["fixtures", "planner"]),
             (["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", str(shapes)],
-             ["planner"], False),
+             ["planner"]),
             (["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file",
               str(bare_shapes), "--hparams-from", "moe_7b_fixed_compute"],
-             ["fixtures", "planner"], True),
+             ["fixtures", "planner"]),
             (["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
-             ["fixtures", "planner"], True),
+             ["fixtures", "planner"]),
         ]
         numeric = [
             ["grad-check", "--trials", "1"],
@@ -730,16 +739,16 @@ class TestNumpyFreeCommands:
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         # one fresh interpreter per planning command, all started before any is awaited
-        batches = [[argv] for argv, _, _ in planning] + [numeric]
+        batches = [[argv] for argv, _ in planning] + [numeric]
         procs = [subprocess.Popen([sys.executable, "-c", _PROBE, json.dumps(batch)],
                                   env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                   text=True) for batch in batches]
         outputs = [proc.communicate(timeout=60) for proc in procs]
         results = [json.loads(line) for out, _ in outputs for line in out.splitlines()]
         assert len(results) == len(planning) + len(numeric), [err for _, err in outputs]
-        for (argv, extra, numpy), result in zip(planning, results):
+        for (argv, extra), result in zip(planning, results):
             modules = sorted(["moebudget", *(f"moebudget.{m}" for m in
                                              ["arch", "cli", "errors", "search", *extra])])
-            assert [argv[0], *result] == [argv[0], 0, modules, numpy]
-        for argv, (code, _, _) in zip(numeric, results[len(planning):]):
+            assert [argv[0], *result] == [argv[0], 0, modules, False, False]
+        for argv, (code, *_) in zip(numeric, results[len(planning):]):
             assert (argv[0], code) == (argv[0], 0)

@@ -1,14 +1,18 @@
 """Planner arithmetic, power-law fits, sweep and reuse construction."""
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from moebudget.arch import DenseShape, MoEShape, training_compute
-from moebudget.fixtures import load_table
+from moebudget.arch import DenseShape, MoEShape, derive_budget, training_compute
+from moebudget.cli import dispatch
+from moebudget.errors import MoebudgetError
+from moebudget.fixtures import load_table, table_names
 from moebudget.planner import (
     IdentifiabilityError,
     PlannerError,
@@ -91,6 +95,24 @@ class TestIterationArithmetic:
         assert snap_batch(850.2) == 848
         assert snap_batch(3.0) == 8
 
+    @given(st.sampled_from(["C", "D"]), st.integers(2**23, 2**200), st.integers(1, 4096),
+           st.integers(0, 2**64))
+    @example("D", 2**70 + 2048, 1, 0)  # float division gave 2**59 steps
+    @example("D", 3 * 2**61, 2**10, 0)  # a tie, rounded to the even count
+    def test_sweep_counts_stay_exact(self, fixed, tokens, batch, slack):
+        shape = moe_7b_shapes()[1][0]
+        fwd = derive_budget(shape).fwd_flops_per_token
+        # a compute budget of tokens whole tokens plus less than one more
+        value = tokens if fixed == "D" else 3 * fwd * tokens + slack % (3 * fwd)
+        plan = build_sweep(fixed, value, [shape], row_hparams=[(1e-3, batch)])
+        plan.validate()
+        row = plan.rows[0]
+        assert type(plan.fixed_value) is int and plan.fixed_value == value
+        assert row.budget.tokens == tokens
+        assert row.iterations == round(Fraction(tokens, batch * shape.seq_len))
+        assert row.budget.train_compute == 3 * fwd * tokens
+        assert tokens_for_compute(row.budget.train_compute, fwd) == tokens
+
 
 class TestPowerLawFit:
     def test_two_point_slope_over_tokens(self):
@@ -133,6 +155,37 @@ class TestPowerLawFit:
         with pytest.raises(IdentifiabilityError, match="collinear"):
             fit_hparam_power_law([(1e9, 1e11, 2.0), (2e9, 2e11, 3.0),
                                   (4e9, 4e11, 4.0)])
+
+    @pytest.mark.parametrize("skew,identified", [(1e-6, True), (1e-12, True),
+                                                 (1e-13, False)])
+    def test_nearly_collinear_design(self, skew, identified):
+        # ln D = ln N + ln 100 but at one point. The Gram matrix's eigenvalue
+        # ratio is about 19 times lstsq's rank cut at a skew of 1e-12, and 6
+        # times below it at 1e-13; lstsq decides both the same way.
+        a, b, c = math.log(3e-4), -0.21, 0.33
+        points = [(n, d, math.exp(a) * n ** b * d ** c)
+                  for n, d in ((1e9, 1e11), (2e9, 2e11 * (1 + skew)), (4e9, 4e11))]
+        if not identified:
+            with pytest.raises(IdentifiabilityError, match="collinear"):
+                fit_hparam_power_law(points)
+            return
+        fit = fit_hparam_power_law(points)
+        # three points and three coefficients: the exact solve interpolates
+        assert fit.fixed_exponents == () and fit.residual_rms == 0.0
+        assert abs(fit.exponent_params + fit.exponent_tokens - (b + c)) <= 1e-12
+
+    @given(st.lists(st.tuples(st.floats(1e8, 1e11), st.floats(1e9, 1e13),
+                              st.floats(1e-5, 1e4)), min_size=1, max_size=10),
+           st.data())
+    def test_point_order_leaves_the_fit_unchanged(self, points, data):
+        shuffled = data.draw(st.permutations(points))
+        outcomes = []
+        for pts in (points, shuffled):
+            try:
+                outcomes.append(repr(fit_hparam_power_law(pts)))
+            except IdentifiabilityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_single_point_constant_fit(self):
         fit = fit_hparam_power_law([(1e9, 1e11, 2.0)])
@@ -245,3 +298,72 @@ class TestBuildSweep:
         assert rel(plan.rows[0].budget.tokens, 1.30e11) <= 0.01
         assert isinstance(plan.rows[0].shape, DenseShape)
         assert not isinstance(plan.rows[0].shape, MoEShape)
+
+
+def lstsq_fit(points):
+    """The numpy reference fit: np.linalg.lstsq and its default rank rule, with
+    the identifiability checks and texts of fit_hparam_power_law."""
+    if not points:
+        raise IdentifiabilityError("no points supplied")
+    logs = np.log(np.asarray(points, dtype=float))
+    keep = [col for col in (0, 1) if np.ptp(logs[:, col]) > 1e-12]
+    names = [("params", "tokens")[col] for col in keep]
+    design = np.column_stack([np.ones(len(logs)), logs[:, keep]])
+    if len(logs) < design.shape[1]:
+        missing = " and ".join(names) if names else "the intercept"
+        raise IdentifiabilityError(
+            f"{len(logs)} points cannot identify {design.shape[1]} coefficients "
+            f"(fitting {missing}); add points varying in {', '.join(names) or 'value'}")
+    solution, _, rank, _ = np.linalg.lstsq(design, logs[:, 2], rcond=None)
+    if rank < design.shape[1]:
+        raise IdentifiabilityError(
+            "design matrix is rank-deficient: ln(params) and ln(tokens) are "
+            "collinear across the supplied points; vary them independently")
+    coeffs = dict(zip(names, solution[1:]))
+    residuals = logs[:, 2] - design @ solution
+    return {"log_coefficient": solution[0],
+            "exponent_params": coeffs.get("params", 0.0),
+            "exponent_tokens": coeffs.get("tokens", 0.0),
+            "residual_rms": np.sqrt(np.mean(residuals ** 2))}
+
+
+def _close(value, reference):
+    return abs(value - reference) <= 1e-10 * max(abs(reference), 1e-3)
+
+
+class TestLstsqOracle:
+    """Every fixture refit agrees with the numpy least-squares reference, and
+    every refit the reference rejects is rejected with the same exit code and
+    diagnostic."""
+
+    @pytest.mark.parametrize("table", table_names())
+    def test_fixture_fits_match_lstsq(self, table):
+        def reference(column, n_column, ra):
+            return lstsq_fit(load_table(table).fit_points(column, n_column, ra))
+
+        fitted = 0
+        for target, column in (("eta", "eta"), ("batch", "B")):
+            for n_column, alt_column in (("N", "N_a"), ("N_a", "N")):
+                for ra in (None, 8.74):
+                    argv = ["fit-hparams", "--from-fixture", table, "--target", target,
+                            "--n-column", n_column] + (["--ra", str(ra)] if ra else [])
+                    result = dispatch(argv)
+                    try:
+                        expected = reference(column, n_column, ra)
+                    except MoebudgetError as exc:
+                        assert (result.exit_code, result.payload, result.diagnostics) == \
+                            (exc.exit_code, "", f"{exc.prefix}{exc}"), argv
+                        continue
+                    try:
+                        alt = reference(column, alt_column, ra)["residual_rms"]
+                    except MoebudgetError:
+                        alt = None
+                    assert result.exit_code == 0, argv
+                    payload = json.loads(result.payload)
+                    for key, value in expected.items():
+                        assert _close(payload[key], value), (argv, key)
+                    got_alt = payload["alt_n_column_residual_rms"]
+                    assert (got_alt is None) == (alt is None), argv
+                    assert alt is None or _close(got_alt, alt), argv
+                    fitted += 1
+        assert fitted > 0
