@@ -37,10 +37,9 @@ _EXPORTS = {
                 "strict_reuse", "tokens_for_compute", "warmup_iters"),
     "search": ("ConfigCandidate", "SearchResult", "SearchSpec", "dense_baseline"),
     "kernel": ("BalanceStats", "BlockParams", "GradCheckSettings", "Layout", "Workspace",
-               "balance_stats", "grad_check", "init_block_params", "load_checkpoint",
-               "moe_batch_backward", "moe_batch_forward", "save_checkpoint"),
-    "toylab": ("GatingComparison", "ToyTask", "ToyTrainConfig", "TrainReport",
-               "compare_gating", "run_toy_training"),
+               "balance_stats", "grad_check", "init_block_params", "moe_batch_backward",
+               "moe_batch_forward"),
+    "toylab": ("ToyTask", "ToyTrainConfig", "TrainReport", "run_toy_training"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_OWNERS]

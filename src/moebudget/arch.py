@@ -66,11 +66,6 @@ class DenseShape:
         """Sequence length over model width (gamma)."""
         return self.seq_len / self.model_dim
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Model width over depth (zeta)."""
-        return self.model_dim / self.layers
-
 
 @dataclass(frozen=True)
 class MoEShape:
@@ -110,11 +105,6 @@ class MoEShape:
     @property
     def seq_len(self) -> int:
         return self.base.seq_len
-
-    @property
-    def total_expert_ratio(self) -> float:
-        """All-expert width over model width (mu)."""
-        return (self.shared_expert_dim + self.experts * self.expert_dim) / self.model_dim
 
     @property
     def active_expert_ratio(self) -> float:

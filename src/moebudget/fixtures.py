@@ -99,7 +99,8 @@ class FixtureTable:
 
         N is the row's ``n_column``; a table without an "N" column states its
         total once, as ``total_params``. D is ``row_tokens``. ``ra`` keeps only
-        rows whose r_a matches it to 0.01; a table without r_a has no such rows.
+        rows whose r_a matches it to 0.01, and a FixtureError names the table's
+        r_a values if none does.
         """
         points = []
         for row in self.rows:
@@ -110,6 +111,10 @@ class FixtureTable:
             else:
                 n = row[n_column]
             points.append((n, float(self.row_tokens(row)), row[column]))
+        if not points:
+            values = ", ".join(f"{v:g}" for v in sorted({row["r_a"] for row in self.rows}))
+            raise FixtureError(f"fixture table {self.name!r} has no row with r_a within 0.01 "
+                               f"of --ra {ra:g}; its r_a values are {values}")
         return points
 
 

@@ -15,8 +15,8 @@ static ``Layout`` of (name, offset, shape) entries, in this order:
 (experts, expert_dim, model_dim); ``experts.w_down`` (experts, model_dim,
 expert_dim); and, with a shared expert, ``shared.w_gate`` and ``shared.w_up``
 (shared_dim, model_dim) and ``shared.w_down`` (model_dim, shared_dim). The
-named arrays are views into theta, gradients come back flat in the same
-layout, and a checkpoint stores the named arrays.
+named arrays are views into theta, and gradients come back flat in the same
+layout.
 
 ``moe_batch_forward`` is the one routing path. It records the batch's
 balance statistics (``balance_stats``) in its cache, and their integer
@@ -41,23 +41,14 @@ from its own scores.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arch import check_routing, json_value
+from .arch import check_routing
 from .errors import KernelError
-
-TIE_EPS = 1e-9
-
-
-class TieProximityWarning(UserWarning):
-    """The Top-K selection boundary sits within TIE_EPS; gradients are unreliable."""
 
 
 def _as_matrix(name: str, arr: Any, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -479,24 +470,8 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     return ce, probs
 
 
-def probe_total_and_grads(params: BlockParams, x: np.ndarray, probe: np.ndarray,
-                          lam: float = 0.0) -> tuple[float, BlockGrads, BalanceStats]:
-    """Scalar probe sum(probe * y) + lam * balance_loss and its exact gradients.
-
-    Warns with ``TieProximityWarning`` when the Top-K selection sits within
-    TIE_EPS of a tie, where frozen-selection gradients are unreliable.
-    """
-    y, cache = moe_batch_forward(params, x)
-    if selection_margin(cache) <= TIE_EPS:
-        warnings.warn("Top-K selection is within TIE_EPS of a tie; "
-                      "frozen-selection gradients are unreliable here",
-                      TieProximityWarning, stacklevel=2)
-    total = float(np.sum(probe * y)) + lam * cache.balance.balance_loss
-    return total, moe_batch_backward(params, cache, probe, lam), cache.balance
-
-
 # ---------------------------------------------------------------------------
-# Parameter construction and checkpoints
+# Parameter construction
 # ---------------------------------------------------------------------------
 
 def init_block_params(rng: np.random.Generator, experts: int, top_k: int,
@@ -510,31 +485,6 @@ def init_block_params(rng: np.random.Generator, experts: int, top_k: int,
     arrays = {name: rng.normal(0.0, 1.0 / math.sqrt(shape[-1]), size=shape)
               for name, shape in _block_shapes(experts, model_dim, expert_dim, shared_dim)}
     return BlockParams.from_arrays(arrays, top_k, normalized)
-
-
-def save_checkpoint(params: BlockParams, path: str | Path, seed: int | None = None) -> None:
-    """Flat JSON manifest: name -> {shape, row-major float64 data}."""
-    manifest: dict[str, Any] = {
-        "seed": seed,
-        "top_k": params.top_k,
-        "normalized": params.normalized,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in params.views.items()
-        },
-    }
-    Path(path).write_text(json.dumps(manifest, sort_keys=True))
-
-
-def load_checkpoint(path: str | Path) -> tuple[BlockParams, int | None]:
-    manifest = json.loads(Path(path).read_text())
-    arrays = {
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in manifest["params"].items()
-    }
-    top_k = json_value("top_k", manifest.get("top_k"), "int", KernelError)
-    normalized = json_value("normalized", manifest.get("normalized"), "bool", KernelError)
-    return BlockParams.from_arrays(arrays, top_k, normalized), manifest.get("seed")
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +613,8 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
 
     Each trial draws fresh parameters, inputs and probe weights, skipping
     draws routed within ``_TIE_MARGIN`` of a Top-K tie so that the frozen
-    selected set is locally constant. Every parameter entry and every input
+    selected set is locally constant; the backward pass runs on the cache of
+    the forward that accepted the draw. Every parameter entry and every input
     entry is perturbed: theta is the block's flat parameters followed by x,
     and the 2P copies theta +- h e_j are evaluated forward only, in stacked
     chunks of at most ``_FD_ENTRIES`` entries, each routed from its own scores.
@@ -672,8 +623,8 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     trials: list[GradCheckTrial] = []
     checked = 0
     for trial in range(settings.trials):
-        params, x, probe = _draw_non_tie_configuration(rng, settings)
-        _, grads, _ = probe_total_and_grads(params, x, probe, settings.lam)
+        params, x, probe, cache = _draw_non_tie_configuration(rng, settings)
+        grads = moe_batch_backward(params, cache, probe, settings.lam)
         layout = Layout(params.layout.entries + (("x", params.layout.size, x.shape),))
         theta = np.concatenate([params.theta, x.ravel()])
         analytic = np.concatenate([grads.theta, grads.x.ravel()])
@@ -699,7 +650,9 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
 
 
 def _draw_non_tie_configuration(rng: np.random.Generator, settings: GradCheckSettings
-                                ) -> tuple[BlockParams, np.ndarray, np.ndarray]:
+                                ) -> tuple[BlockParams, np.ndarray, np.ndarray, BlockCache]:
+    """Parameters, x and probe routed more than ``_TIE_MARGIN`` from a Top-K tie,
+    with the forward cache of that routing, which owns a fresh workspace."""
     for _ in range(_MAX_DRAWS):
         params = init_block_params(rng, settings.experts, settings.top_k,
                                    settings.model_dim, settings.expert_dim,
@@ -708,7 +661,7 @@ def _draw_non_tie_configuration(rng: np.random.Generator, settings: GradCheckSet
         probe = rng.normal(0.0, 1.0, size=(_GC_BATCH, settings.model_dim))
         _, cache = moe_batch_forward(params, x)
         if selection_margin(cache) > _TIE_MARGIN:
-            return params, x, probe
+            return params, x, probe, cache
     raise KernelError(
         f"could not draw a configuration with selection margin > {_TIE_MARGIN} "
         f"after {_MAX_DRAWS} attempts")

@@ -105,7 +105,6 @@ class ToyTrainConfig:
     batch_sequences: int = 32
     steps: int = 2000
     seed: int = 0
-    init_scale: float = 0.02
 
     def __post_init__(self) -> None:
         for name, ok, rule in (
@@ -114,8 +113,6 @@ class ToyTrainConfig:
                 ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
                 ("momentum", math.isfinite(self.momentum) and self.momentum >= 0,
                  "finite and >= 0"),
-                ("init_scale", math.isfinite(self.init_scale) and self.init_scale > 0,
-                 "finite and > 0"),
                 ("batch_sequences", self.batch_sequences >= 1, ">= 1"),
                 ("model_dim", self.model_dim >= 1, ">= 1"),
                 ("expert_dim", self.expert_dim >= 1, ">= 1"),
@@ -199,6 +196,9 @@ class TrainReport:
             json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n")
 
 
+_INIT_SCALE = 0.02  # standard deviation of the embed, mix and head weights
+
+
 @dataclass(frozen=True)
 class _ToyModel:
     theta: np.ndarray             # embed, mix, block and head, flat in layout
@@ -208,13 +208,12 @@ class _ToyModel:
 
 
 def _init_model(config: ToyTrainConfig, rng: np.random.Generator) -> _ToyModel:
-    scale = config.init_scale
-    embed = rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim))
-    mix = rng.normal(0.0, scale, size=(config.model_dim, config.model_dim))
+    embed = rng.normal(0.0, _INIT_SCALE, size=(config.task.vocab, config.model_dim))
+    mix = rng.normal(0.0, _INIT_SCALE, size=(config.model_dim, config.model_dim))
     block = init_block_params(rng, config.experts, config.top_k, config.model_dim,
                               config.expert_dim, config.shared_dim,
                               config.normalized)
-    head = rng.normal(0.0, scale, size=(config.task.vocab, config.model_dim))
+    head = rng.normal(0.0, _INIT_SCALE, size=(config.task.vocab, config.model_dim))
     layout = Layout.of([("embed", embed.shape), ("mix", mix.shape),
                         ("block", block.theta.shape), ("head", head.shape)])
     theta = np.concatenate([embed.ravel(), mix.ravel(), block.theta, head.ravel()])
@@ -296,24 +295,3 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
             velocity += grad
             theta -= np.multiply(config.lr, velocity, out=grad)  # grad is spent
     return TrainReport(config=config, steps=tuple(records))
-
-
-@dataclass(frozen=True)
-class GatingComparison:
-    non_normalized: TrainReport
-    normalized: TrainReport
-
-    def mean_balance_losses(self) -> dict[str, float]:
-        return {
-            "non_normalized": self.non_normalized.mean_balance_loss(),
-            "normalized": self.normalized.mean_balance_loss(),
-        }
-
-
-def compare_gating(config: ToyTrainConfig) -> GatingComparison:
-    """Train normalized and non-normalized variants on identical seeds/data."""
-    if config.top_k < 2:
-        raise ToyConfigError("gating comparison requires top_k >= 2")
-    plain = run_toy_training(dataclasses.replace(config, normalized=False))
-    normed = run_toy_training(dataclasses.replace(config, normalized=True))
-    return GatingComparison(non_normalized=plain, normalized=normed)

@@ -441,6 +441,15 @@ class TestPlanningCommandsContract:
         assert (result.exit_code, result.payload, result.diagnostics) == (
             1, "", "fixture table 'dense_baselines' has no column 'r_a'")
 
+    @pytest.mark.parametrize("ra", ["8.74", "20"])
+    def test_ra_matching_no_row_names_the_table_values(self, ra):
+        result = dispatch(["fit-hparams", "--from-fixture", "moe_7b_fixed_compute",
+                           "--target", "eta", "--ra", ra])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", f"fixture table 'moe_7b_fixed_compute' has no row with r_a within 0.01 "
+                   f"of --ra {ra}; its r_a values are 8.97, 11.19, 13.41, 15.63, 20.07, "
+                   "26.18, 30.07, 53.38")
+
     def test_usage_error_is_one_line(self):
         result = dispatch(["search", "--zeta", "88"])
         assert (result.exit_code, result.payload) == (1, "")

@@ -8,14 +8,13 @@ from moebudget.kernel import (
     BlockParams,
     GradCheckSettings,
     Layout,
-    TieProximityWarning,
     _stacked_totals,
     balance_stats,
     grad_check,
     init_block_params,
     moe_batch_backward,
     moe_batch_forward,
-    probe_total_and_grads,
+    selection_margin,
 )
 
 
@@ -49,51 +48,39 @@ def test_normalized_single_selection_has_zero_gate_gradient():
     assert np.any(grads.views["experts.w_down"] != 0.0)
 
 
-def test_zero_lambda_matches_probe_only_gradients():
-    rng = np.random.default_rng(1)
-    params = init_block_params(rng, experts=5, top_k=2, model_dim=4, expert_dim=3,
-                               shared_dim=2)
-    x = rng.normal(size=(4, 4))
-    probe = rng.normal(size=(4, 4))
-    _, with_lam0, _ = probe_total_and_grads(params, x, probe, lam=0.0)
-    _, cache = moe_batch_forward(params, x)
-    plain = moe_batch_backward(params, cache, probe)
-    assert np.array_equal(with_lam0.views["gate.weight"], plain.views["gate.weight"])
-    assert np.array_equal(with_lam0.views["experts.w_gate"], plain.views["experts.w_gate"])
-    assert np.array_equal(with_lam0.x, plain.x)
-
-
 def test_balance_term_only_moves_gate_gradients():
     rng = np.random.default_rng(2)
     params = init_block_params(rng, experts=5, top_k=2, model_dim=4, expert_dim=3)
     x = rng.normal(size=(4, 4))
     probe = rng.normal(size=(4, 4))
-    _, g0, _ = probe_total_and_grads(params, x, probe, lam=0.0)
-    _, g1, _ = probe_total_and_grads(params, x, probe, lam=0.5)
-    assert not np.array_equal(g0.views["gate.weight"], g1.views["gate.weight"])
-    assert np.array_equal(g0.views["experts.w_down"], g1.views["experts.w_down"])
+    _, cache = moe_batch_forward(params, x)
+    g0 = moe_batch_backward(params, cache, probe, lam=0.0)
+    # the next backward on this cache overwrites g0's workspace buffers
+    gate0, down0 = g0.views["gate.weight"].copy(), g0.views["experts.w_down"].copy()
+    g1 = moe_batch_backward(params, cache, probe, lam=0.5)
+    assert not np.array_equal(gate0, g1.views["gate.weight"])
+    assert np.array_equal(down0, g1.views["experts.w_down"])
 
 
-def test_tie_proximity_warns():
-    rng = np.random.default_rng(3)
-    params = init_block_params(rng, experts=4, top_k=2, model_dim=5, expert_dim=3)
-    tied = BlockParams.from_arrays(
-        {**params.views, "gate.weight": np.zeros_like(params.views["gate.weight"])}, top_k=2)
-    with pytest.warns(TieProximityWarning):
-        probe_total_and_grads(tied, rng.normal(size=5)[None, :], rng.normal(size=5)[None, :])
+CRITERION_3_VARIANTS = [(top_k, normalized, shared) for top_k in (1, 2, 4)
+                        for normalized in (False, True) if not (top_k == 1 and normalized)
+                        for shared in (0, 4)]
 
 
-def test_single_token_backward_matches_batch_of_one():
-    rng = np.random.default_rng(4)
-    params = init_block_params(rng, experts=4, top_k=2, model_dim=5, expert_dim=3,
-                               shared_dim=2)
-    x = rng.normal(size=5)
-    upstream = rng.normal(size=5)
-    _, single, _ = probe_total_and_grads(params, x[None, :], upstream[None, :])
-    _, cache = moe_batch_forward(params, x[None, :])
-    batch = moe_batch_backward(params, cache, upstream[None, :])
-    assert np.array_equal(single.views["gate.weight"], batch.views["gate.weight"])
-    assert np.array_equal(single.x, batch.x)
+@pytest.mark.parametrize("top_k,normalized,shared", CRITERION_3_VARIANTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drawn_cache_backward_matches_a_fresh_forward(top_k, normalized, shared, seed):
+    # grad_check backpropagates through the forward that accepted its draw
+    settings = GradCheckSettings(experts=4, top_k=top_k, model_dim=5, expert_dim=3,
+                                 shared_dim=shared, normalized=normalized, seed=seed)
+    params, x, probe, cache = kernel._draw_non_tie_configuration(
+        np.random.default_rng(seed), settings)
+    assert selection_margin(cache) > kernel._TIE_MARGIN
+    handed = moe_batch_backward(params, cache, probe, settings.lam)
+    _, fresh_cache = moe_batch_forward(params, x)
+    fresh = moe_batch_backward(params, fresh_cache, probe, settings.lam)
+    assert np.array_equal(handed.theta, fresh.theta)
+    assert np.array_equal(handed.x, fresh.x)
 
 
 # -- the stacked forward-only oracle ----------------------------------------

@@ -1,8 +1,6 @@
-"""Gating, block forward, balance statistics, losses, and checkpointing."""
+"""Gating, block forward, balance statistics, losses, layouts and workspaces."""
 
 import dataclasses
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -18,10 +16,8 @@ from moebudget.kernel import (
     _sigmoid,
     balance_stats,
     init_block_params,
-    load_checkpoint,
     moe_batch_backward,
     moe_batch_forward,
-    save_checkpoint,
     softmax_cross_entropy,
 )
 
@@ -425,43 +421,6 @@ class TestLosses:
             bumped[i] -= 2 * h
             down, _ = softmax_cross_entropy(bumped.reshape(3, 5), targets)
             assert math.isclose(grad.ravel()[i], (up - down) / (2 * h), abs_tol=1e-8)
-
-
-class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        params = init_block_params(rng, experts=3, top_k=2, model_dim=4,
-                                   expert_dim=2, shared_dim=3, normalized=True)
-        path = tmp_path / "block.json"
-        save_checkpoint(params, path, seed=7)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 7
-        assert loaded.top_k == 2 and loaded.normalized
-        assert np.array_equal(loaded.views["gate.weight"], params.views["gate.weight"])
-        assert np.array_equal(loaded.views["experts.w_down"], params.views["experts.w_down"])
-        assert np.array_equal(loaded.views["shared.w_up"], params.views["shared.w_up"])
-
-    def test_file_bytes_are_pinned(self, tmp_path):
-        # the checkpoint format predates the flat layout; its bytes must not move
-        params = init_block_params(np.random.default_rng(7), 3, 2, 4, 2, 3, True)
-        path = tmp_path / "block.json"
-        save_checkpoint(params, path, seed=7)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "ec33487ea98c678ba306a857d2a4cb615468ba60be91946cf056aadf8c9df6a0"
-
-    @pytest.mark.parametrize("key,value", [
-        ("normalized", "false"), ("normalized", 0), ("top_k", "2"), ("top_k", 2.5),
-        ("top_k", None),
-    ])
-    def test_manifest_scalars_are_read_strictly(self, tmp_path, key, value):
-        params = init_block_params(np.random.default_rng(7), 3, 2, 4, 2, 3, True)
-        path = tmp_path / "block.json"
-        save_checkpoint(params, path, seed=7)
-        manifest = json.loads(path.read_text())
-        manifest[key] = value
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(KernelError, match=f"{key} must be"):
-            load_checkpoint(path)
 
 
 class TestLayout:
