@@ -10,8 +10,10 @@ are computed in exact (arbitrary-width) integer arithmetic; ratios are floats.
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import ShapeError
@@ -293,6 +295,18 @@ def json_value(key: str, value: Any, kind: str, error: type[Exception]) -> Any:
                                 or abs(value) <= sys.float_info.max):
             return float(value)
     raise error(f"{key} must be {kind}, got {value!r}")
+
+
+def read_json_file(path: str | Path, what: str, error: type[Exception]) -> Any:
+    """The JSON value in file ``path``; a missing file, or one that is not UTF-8, not
+    JSON or nested too deeply to decode, raises ``error`` naming ``what`` and ``path``."""
+    file_path = Path(path)
+    if not file_path.is_file():
+        raise error(f"{what} not found: {file_path}")
+    try:
+        return json.loads(file_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{what} {file_path} is not valid JSON: {exc}") from None
 
 
 def shape_to_json(shape: DenseShape | MoEShape) -> dict[str, Any]:

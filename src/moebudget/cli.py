@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 # every command needs these two; each _cmd_* imports the rest of what it runs
@@ -99,23 +98,7 @@ def _count(text: str) -> int:
 
 def _given(args: argparse.Namespace) -> dict[str, Any]:
     """The given flags of an ``argument_default=SUPPRESS`` subparser, by field name."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "format")}
-
-
-def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--json", dest="format", action="store_const", const="json")
-    parser.add_argument("--csv", dest="format", action="store_const", const="csv")
-
-
-def _read_json(path: str, what: str) -> Any:
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise CliUsageError(f"{what} not found: {file_path}")
-    try:
-        return json.loads(file_path.read_text())
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise CliUsageError(f"{what} {file_path} is not valid JSON: {exc}") from None
+    return {k: v for k, v in vars(args).items() if k not in ("command", "format")}
 
 
 def _budget_payload(args: argparse.Namespace, shape: arch.DenseShape | arch.MoEShape,
@@ -130,7 +113,8 @@ def _budget_payload(args: argparse.Namespace, shape: arch.DenseShape | arch.MoES
 # ---------------------------------------------------------------------------
 
 def _cmd_plan(args: argparse.Namespace) -> CommandResult:
-    shape = arch.shape_from_json(_read_json(args.shape_file, "shape file"))
+    shape = arch.shape_from_json(
+        arch.read_json_file(args.shape_file, "shape file", CliUsageError))
     is_moe = isinstance(shape, arch.MoEShape)
     if args.kind == "moe" and not is_moe:
         raise CliUsageError(f"{args.shape_file} holds a dense shape, not MoE")
@@ -142,7 +126,8 @@ def _cmd_plan(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_budget(args: argparse.Namespace) -> CommandResult:
     from . import planner
-    shape = arch.shape_from_json(_read_json(args.shape_file, "shape file"))
+    shape = arch.shape_from_json(
+        arch.read_json_file(args.shape_file, "shape file", CliUsageError))
     probe = arch.derive_budget(shape)
     tokens = planner.tokens_for_compute(args.compute, probe.fwd_flops_per_token)
     budget = arch.derive_budget(shape, tokens=tokens)
@@ -214,7 +199,7 @@ def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
     from . import planner
-    entries = _read_json(args.shapes_file, "shapes file")
+    entries = arch.read_json_file(args.shapes_file, "shapes file", CliUsageError)
     if not isinstance(entries, list) or not entries:
         raise CliUsageError("shapes file must hold a nonempty JSON list")
     shapes, row_hparams, carries_hparams = [], [], False
@@ -266,7 +251,8 @@ def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
 def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
     import numpy as np
     from . import toylab
-    config = toylab.toy_config_from_json(_read_json(args.config, "config file"))
+    config = toylab.toy_config_from_json(
+        arch.read_json_file(args.config, "config file", CliUsageError))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     with np.errstate(**_NUMPY_QUIET):
@@ -296,123 +282,102 @@ def _cmd_validate_fixtures(args: argparse.Namespace) -> CommandResult:
 
 
 # ---------------------------------------------------------------------------
-# parser wiring
+# command table: name -> (help, handler, flags); a flag is (flag, add_argument keywords)
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="moebudget",
-                     description="MoE/dense budget accounting, config search, "
-                                 "experiment planning, and the reference kernel")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", parents=[], help="budget for a shape file")
-    p.add_argument("kind", choices=("moe", "dense"))
-    p.add_argument("--shape-file", required=True)
-    p.add_argument("--tokens", type=_count, default=0)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("budget", help="token budget for a compute budget")
-    p.add_argument("--compute", type=_count, required=True)
-    p.add_argument("--shape-file", required=True)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_budget)
-
-    # search, dense-baseline and grad-check flags keep their owner's defaults: see _given
-    p = sub.add_parser("search", help="MoE configurations for a (N, r_a) target",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--target-n", dest="target_params", type=_count, required=True)
-    p.add_argument("--target-ra", dest="target_activation_rate", type=_real, required=True)
-    p.add_argument("--zeta", dest="aspect_ratio", type=_real)
-    p.add_argument("--mu", dest="expert_width_ratio", type=_real)
-    p.add_argument("--alpha", dest="dense_ffn_ratio", type=_real)
-    p.add_argument("--head-dim", type=int)
-    p.add_argument("--seq-len", type=int)
-    p.add_argument("--arrangement", choices=arch.ARRANGEMENTS)
-    p.add_argument("--k-min", type=int)
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--de-multiple", dest="expert_dim_multiple", type=int)
-    p.add_argument("--max-experts", type=int)
-    p.add_argument("--limit", dest="max_candidates", type=int)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("dense-baseline", help="dense shape for a parameter target",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--target-n", dest="target_params", type=_count, required=True)
-    p.add_argument("--zeta", dest="aspect_ratio", type=_real, required=True)
-    p.add_argument("--alpha", dest="ffn_ratio", type=_real, required=True)
-    p.add_argument("--head-dim", type=int)
-    p.add_argument("--seq-len", type=int)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_dense_baseline)
-
-    p = sub.add_parser("reuse", help="multi-epoch data-reuse schedule")
-    p.add_argument("--scheme", choices=("strict", "loose"), required=True)
-    p.add_argument("--tokens", type=_count, required=True,
-                   help="consumed token budget D")
-    p.add_argument("--unique-tokens", type=_count, default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_reuse)
-
-    p = sub.add_parser("fit-hparams", help="power-law refit from a fixture table")
-    p.add_argument("--from-fixture", required=True, metavar="TABLE")
-    p.add_argument("--target", choices=("eta", "batch"), required=True)
-    p.add_argument("--n-column", choices=("N", "N_a"), default="N")
-    p.add_argument("--ra", type=_real, default=None,
-                   help="keep only rows with this r_a (percent)")
-    p.add_argument("--dir", default=None, help="fixture directory override")
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_fit_hparams)
-
-    p = sub.add_parser("sweep", help="activation-rate sweep at fixed C or D")
-    p.add_argument("--fixed", choices=("c", "d"), required=True)
-    p.add_argument("--value", type=_count, required=True)
-    p.add_argument("--shapes-file", required=True)
-    p.add_argument("--hparams-from", default=None, metavar="TABLE")
-    p.add_argument("--n-column", choices=("N", "N_a"), default="N")
-    p.add_argument("--reuse", choices=("strict", "loose"), default=None)
-    p.add_argument("--unique-tokens", type=_count, default=None)
-    p.add_argument("--dir", default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("grad-check", help="finite-difference check of the kernel",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--E", dest="experts", type=int)
-    p.add_argument("--K", dest="top_k", type=int)
-    p.add_argument("--D_m", dest="model_dim", type=int)
-    p.add_argument("--D_e", dest="expert_dim", type=int)
-    p.add_argument("--D_se", dest="shared_dim", type=int)
-    p.add_argument("--normalized", action="store_true")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tolerance", type=_real)
-    p.add_argument("--lam", type=_real)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_grad_check)
-
-    p = sub.add_parser("train-toy", help="synthetic MoE training run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_train_toy)
-
-    p = sub.add_parser("validate-fixtures", help="replay the golden tables")
-    p.add_argument("--dir", default=None)
-    p.add_argument("--table", action="append", default=None)
-    _add_format_flags(p)
-    p.set_defaults(func=_cmd_validate_fixtures)
-
-    return parser
+COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
+                          tuple[tuple[str, dict[str, Any]], ...]]] = {
+    "plan": ("budget for a shape file", _cmd_plan, (
+        ("kind", {"choices": ("moe", "dense")}),
+        ("--shape-file", {"required": True}),
+        ("--tokens", {"type": _count, "default": 0}))),
+    "budget": ("token budget for a compute budget", _cmd_budget, (
+        ("--compute", {"type": _count, "required": True}),
+        ("--shape-file", {"required": True}))),
+    "search": ("MoE configurations for a (N, r_a) target", _cmd_search, (
+        ("--target-n", {"dest": "target_params", "type": _count, "required": True}),
+        ("--target-ra", {"dest": "target_activation_rate", "type": _real, "required": True}),
+        ("--zeta", {"dest": "aspect_ratio", "type": _real}),
+        ("--mu", {"dest": "expert_width_ratio", "type": _real}),
+        ("--alpha", {"dest": "dense_ffn_ratio", "type": _real}),
+        ("--head-dim", {"type": int}),
+        ("--seq-len", {"type": int}),
+        ("--arrangement", {"choices": arch.ARRANGEMENTS}),
+        ("--k-min", {"type": int}),
+        ("--k-max", {"type": int}),
+        ("--de-multiple", {"dest": "expert_dim_multiple", "type": int}),
+        ("--max-experts", {"type": int}),
+        ("--limit", {"dest": "max_candidates", "type": int}))),
+    "dense-baseline": ("dense shape for a parameter target", _cmd_dense_baseline, (
+        ("--target-n", {"dest": "target_params", "type": _count, "required": True}),
+        ("--zeta", {"dest": "aspect_ratio", "type": _real, "required": True}),
+        ("--alpha", {"dest": "ffn_ratio", "type": _real, "required": True}),
+        ("--head-dim", {"type": int}),
+        ("--seq-len", {"type": int}))),
+    "reuse": ("multi-epoch data-reuse schedule", _cmd_reuse, (
+        ("--scheme", {"choices": ("strict", "loose"), "required": True}),
+        ("--tokens", {"type": _count, "required": True, "help": "consumed token budget D"}),
+        ("--unique-tokens", {"type": _count}))),
+    "fit-hparams": ("power-law refit from a fixture table", _cmd_fit_hparams, (
+        ("--from-fixture", {"required": True, "metavar": "TABLE"}),
+        ("--target", {"choices": ("eta", "batch"), "required": True}),
+        ("--n-column", {"choices": ("N", "N_a"), "default": "N"}),
+        ("--ra", {"type": _real, "help": "keep only rows with this r_a (percent)"}),
+        ("--dir", {"help": "fixture directory override"}))),
+    "sweep": ("activation-rate sweep at fixed C or D", _cmd_sweep, (
+        ("--fixed", {"choices": ("c", "d"), "required": True}),
+        ("--value", {"type": _count, "required": True}),
+        ("--shapes-file", {"required": True}),
+        ("--hparams-from", {"metavar": "TABLE"}),
+        ("--n-column", {"choices": ("N", "N_a"), "default": "N"}),
+        ("--reuse", {"choices": ("strict", "loose")}),
+        ("--unique-tokens", {"type": _count}),
+        ("--dir", {}))),
+    "grad-check": ("finite-difference check of the kernel", _cmd_grad_check, (
+        ("--E", {"dest": "experts", "type": int}),
+        ("--K", {"dest": "top_k", "type": int}),
+        ("--D_m", {"dest": "model_dim", "type": int}),
+        ("--D_e", {"dest": "expert_dim", "type": int}),
+        ("--D_se", {"dest": "shared_dim", "type": int}),
+        ("--normalized", {"action": "store_true"}),
+        ("--seed", {"type": int}),
+        ("--trials", {"type": int}),
+        ("--tolerance", {"type": _real}),
+        ("--lam", {"type": _real}))),
+    "train-toy": ("synthetic MoE training run", _cmd_train_toy, (
+        ("--config", {"required": True}),
+        ("--out", {}),
+        ("--seed", {"type": int}))),
+    "validate-fixtures": ("replay the golden tables", _cmd_validate_fixtures, (
+        ("--dir", {}),
+        ("--table", {"action": "append"}))),
+}
+# these commands hand _given(args) to the owner of each default, so an absent flag stays
+# out of their namespace
+_OWNER_DEFAULTS = ("search", "dense-baseline", "grad-check")
+_FORMAT_FLAGS = (("--format", {"choices": ("json", "csv"), "default": "json"}),
+                 ("--json", {"dest": "format", "action": "store_const", "const": "json"}),
+                 ("--csv", {"dest": "format", "action": "store_const", "const": "csv"}))
 
 
 def dispatch(argv: Sequence[str]) -> CommandResult:
     """Run one command; never raises for expected failure modes."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        parser = _Parser(prog="moebudget",
+                         description="MoE/dense budget accounting, config search, "
+                                     "experiment planning, and the reference kernel")
+        sub = parser.add_subparsers(dest="command", required=True)
+        # only the named command's parser, unless argv[0] names none: then the usage
+        # error or top-level help lists every command
+        for name in (argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS):
+            help_text, _, flags = COMMANDS[name]
+            p = sub.add_parser(name, help=help_text, argument_default=(
+                argparse.SUPPRESS if name in _OWNER_DEFAULTS else None))
+            for flag, keywords in flags + _FORMAT_FLAGS:
+                p.add_argument(flag, **keywords)
+        args = parser.parse_args(argv)
+        _, handler, _ = COMMANDS[args.command]
+        return handler(args)
     except MoebudgetError as exc:
         return CommandResult(exc.exit_code, "", f"{exc.prefix}{exc}")
     except OSError as exc:

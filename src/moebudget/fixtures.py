@@ -11,7 +11,7 @@ opaquely and never recomputed.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any
 
 from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, json_value,
-                   shape_from_json)
+                   read_json_file, shape_from_json)
 from .errors import FixtureError
 from .planner import iterations
 
@@ -124,12 +124,7 @@ def table_names(directory: str | os.PathLike | None = None) -> list[str]:
 
 def _load_index(directory: Path) -> dict[str, Any]:
     index_path = directory / "tables.json"
-    if not index_path.is_file():
-        raise FixtureError(f"fixture index not found: {index_path}")
-    try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"fixture index {index_path} is not valid JSON: {exc}") from None
+    index = read_json_file(index_path, "fixture index", FixtureError)
     if not isinstance(index, dict):
         raise FixtureError(f"fixture index {index_path} must hold a JSON object")
     return index
@@ -156,26 +151,29 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
     csv_path = base / meta["file"]
     if not csv_path.is_file():
         raise FixtureError(f"fixture file not found: {csv_path}")
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FixtureError(f"fixture file {csv_path} has no header row")
-        rows = []
-        for line_no, raw in enumerate(reader, start=2):
-            parsed: dict[str, float] = {}
-            for key, value in raw.items():
-                if key is None or value is None or value == "":
-                    raise FixtureError(f"{csv_path}:{line_no}: ragged row")
-                try:
-                    parsed[key] = float(value)
-                except ValueError:
-                    raise FixtureError(
-                        f"{csv_path}:{line_no}: non-numeric value {value!r} in column {key}"
-                    ) from None
-                if not math.isfinite(parsed[key]):
-                    raise FixtureError(
-                        f"{csv_path}:{line_no}: non-finite value {value!r} in column {key}")
-            rows.append(FixtureRow(name, parsed))
+    try:
+        text = csv_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"fixture file {csv_path} is not UTF-8: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise FixtureError(f"fixture file {csv_path} has no header row")
+    rows = []
+    for line_no, raw in enumerate(reader, start=2):
+        parsed: dict[str, float] = {}
+        for key, value in raw.items():
+            if key is None or value is None or value == "":
+                raise FixtureError(f"{csv_path}:{line_no}: ragged row")
+            try:
+                parsed[key] = float(value)
+            except ValueError:
+                raise FixtureError(
+                    f"{csv_path}:{line_no}: non-numeric value {value!r} in column {key}"
+                ) from None
+            if not math.isfinite(parsed[key]):
+                raise FixtureError(
+                    f"{csv_path}:{line_no}: non-finite value {value!r} in column {key}")
+        rows.append(FixtureRow(name, parsed))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")
     table = FixtureTable(name=name, kind=meta["kind"], rows=tuple(rows), meta=meta)

@@ -1,0 +1,226 @@
+"""Golden CLI corpus: argv lists whose exit code, stdout and stderr are pinned.
+
+The argv lists come from the shipped fixture rows (``plan``, ``budget`` and
+``reuse`` per row, JSON and ``--csv``), every ``fit-hparams`` table x target x
+parameter column x ``--ra`` choice, a fixed grid of ``search``,
+``dense-baseline`` and ``sweep`` cases, ``validate-fixtures``, usage errors of
+every command and every ``-h`` text. ``grad-check`` and ``train-toy`` appear
+only as usage errors and help: their payloads depend on the BLAS build.
+
+Each argv runs in process through ``moebudget.cli.main``. Input files live in
+a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
+record of an argv is its exit code, the SHA-256 of its stdout and its stderr.
+
+Regenerate ``digests.json`` after a deliberate output change with::
+
+    python tests/golden/corpus.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any
+from unittest import mock
+
+DIGESTS = Path(__file__).with_name("digests.json")
+TMP = "{tmp}"
+MOE = f"{TMP}/moe.json"
+SHAPES = f"{TMP}/shapes.json"
+COMMANDS = ("plan", "budget", "search", "dense-baseline", "reuse", "fit-hparams", "sweep",
+            "grad-check", "train-toy", "validate-fixtures")
+# command -> schema its JSON stdout satisfies
+SCHEMAS = {"plan": "budget_payload", "budget": "budget_payload", "search": "search_result",
+           "dense-baseline": "budget_payload", "reuse": "reuse_plan",
+           "fit-hparams": "power_law_fit", "sweep": "sweep_plan",
+           "validate-fixtures": "fixture_report"}
+# command -> (a valid argv tail, one of its required flags, a choice flag, a typed flag)
+_USAGE = {
+    "plan": (["moe", "--shape-file", MOE], "--shape-file", "--format", "--tokens"),
+    "budget": (["--compute", "2.86e21", "--shape-file", MOE], "--compute", "--format",
+               "--compute"),
+    "search": (["--target-n", "6.52e9", "--target-ra", "0.2"], "--target-ra",
+               "--arrangement", "--head-dim"),
+    "dense-baseline": (["--target-n", "6.48e9", "--zeta", "128", "--alpha", "2.69"],
+                       "--alpha", "--format", "--seq-len"),
+    "reuse": (["--scheme", "loose", "--tokens", "3.16e11"], "--tokens", "--scheme",
+              "--unique-tokens"),
+    "fit-hparams": (["--from-fixture", "dense_baselines", "--target", "eta"], "--target",
+                    "--n-column", "--ra"),
+    "sweep": (["--fixed", "c", "--value", "2.86e21", "--shapes-file", SHAPES],
+              "--shapes-file", "--reuse", "--value"),
+    "grad-check": ([], None, "--format", "--E"),
+    "train-toy": (["--config", f"{TMP}/toy.json"], "--config", "--format", "--seed"),
+    "validate-fixtures": ([], None, "--format", None),
+}
+
+
+def _formats(argv: list[str]) -> list[list[str]]:
+    return [argv, [*argv, "--csv"]]
+
+
+def _usage_errors() -> list[list[str]]:
+    cases: list[list[str]] = [[], ["bogus"], ["--bogus", "plan"], ["-h"]]
+    for command in COMMANDS:
+        tail, required, choice, typed = _USAGE[command]
+        cases += [[command, "-h"], [command, *tail, "--bogus"], [command, *tail, "stray"],
+                  [command, *tail, choice, "bogus"]]
+        if required:
+            at = tail.index(required)
+            cases.append([command, *tail[:at], *tail[at + 2:]])
+        if typed:
+            cases.append([command, *tail, typed, "bogus"])
+    return cases
+
+
+def build(tmp: Path) -> list[list[str]]:
+    """Write the corpus's input files under ``tmp`` and return its argv lists."""
+    from moebudget import arch, fixtures
+
+    def write(name: str, obj: Any) -> str:
+        (tmp / name).write_text(json.dumps(obj))
+        return f"{TMP}/{name}"
+
+    tables = [fixtures.load_table(name) for name in fixtures.table_names()]
+    moe = [t for t in tables if t.kind == "moe"]
+    shape = {t.name: [arch.shape_to_json(t.row_shape(row)) for row in t.rows] for t in tables}
+    write("moe.json", shape["moe_7b_fixed_compute"][0])
+    write("shapes.json", shape["moe_7b_fixed_compute"])
+    write("dense.json", shape["dense_baselines"][0])
+    argvs: list[list[str]] = []
+
+    for table in tables:
+        for index, row in enumerate(table.rows):
+            path = write(f"{table.name}-{index}.json", shape[table.name][index])
+            tokens = str(table.row_tokens(row))
+            argvs += _formats(["plan", table.kind, "--shape-file", path, "--tokens", tokens])
+            argvs += _formats(["budget", "--compute", repr(row["C"]), "--shape-file", path])
+            argvs += _formats(["reuse", "--scheme", "loose", "--tokens", tokens])
+        if table.reuse_scheme == "strict":
+            argvs += _formats(["reuse", "--scheme", "strict",
+                               "--tokens", str(table.row_tokens(table.rows[0])),
+                               "--unique-tokens", repr(table.meta["unique_tokens"])])
+
+    for table in tables:
+        ras = [None, "8.74"] + ([repr(table.rows[0]["r_a"])] if "r_a" in table.rows[0] else [])
+        for target in ("eta", "batch"):
+            for n_column in ("N", "N_a"):
+                for ra in ras:
+                    argvs.append(["fit-hparams", "--from-fixture", table.name, "--target",
+                                  target, "--n-column", n_column,
+                                  *(["--ra", ra] if ra else [])])
+
+    for table in moe:
+        if "mu" not in table.rows[0]:
+            continue
+        zeta = repr(round(table.meta["model_dim"] / table.meta["layers"], 1))
+        for row in table.rows:
+            argvs.append(["search", "--target-n", repr(table.meta["total_params"]),
+                          "--target-ra", repr(row["r_a"] / 100), "--zeta", zeta,
+                          "--mu", repr(row["mu"])])
+    argvs += [
+        *_formats(["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--limit", "3"]),
+        ["search", "--target-n", "2.15e9", "--target-ra", "0.1", "--arrangement",
+         "full", "--k-min", "2", "--k-max", "4"],
+        ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--de-multiple", "256",
+         "--max-experts", "64", "--head-dim", "64", "--seq-len", "4096", "--alpha", "2.5"],
+        ["search", "--target-n", "1000", "--target-ra", "0.2"],
+        ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--k-max", str(2**70),
+         "--max-experts", "8"],
+        ["search", "--target-n", "6.52e9", "--target-ra", "1.5"],
+    ]
+
+    dense = next(t for t in tables if t.kind == "dense")
+    for row in dense.rows:
+        argvs += _formats(["dense-baseline", "--target-n", repr(row["N"]),
+                           "--zeta", repr(round(row["D_m"] / row["L"], 1)),
+                           "--alpha", repr(round(row["D_ffn"] / row["D_m"], 2))])
+    argvs += [["dense-baseline", "--target-n", "6.48e9", "--zeta", "128", "--alpha", "2.69",
+               "--head-dim", "64", "--seq-len", "4096"],
+              ["dense-baseline", "--target-n", "10", "--zeta", "128", "--alpha", "2.69"]]
+
+    for table in moe:
+        rows = table.rows
+        with_hparams = write(f"sweep-{table.name}.json", [
+            {"shape": s, "eta": row["eta"], "B": row["B"]}
+            for s, row in zip(shape[table.name], rows)])
+        bare = write(f"bare-{table.name}.json", shape[table.name])
+        reuse = [] if table.reuse_scheme is None else ["--reuse", table.reuse_scheme]
+        if table.reuse_scheme == "strict":
+            reuse += ["--unique-tokens", repr(table.meta["unique_tokens"])]
+        for fixed in ("c", "d"):
+            column = fixed.upper() if fixed.upper() in rows[0] else "D_hat"
+            sweep = ["sweep", "--fixed", fixed, "--value", repr(rows[0][column])]
+            argvs += _formats([*sweep, "--shapes-file", with_hparams, *reuse])
+            for n_column in ("N", "N_a"):
+                argvs.append([*sweep, "--shapes-file", bare, "--hparams-from", table.name,
+                              "--n-column", n_column])
+
+    argvs += [*_formats(["validate-fixtures"]),
+              *(["validate-fixtures", "--table", t.name] for t in tables),
+              ["validate-fixtures", "--dir", f"{TMP}/missing"],
+              ["plan", "moe", "--shape-file", f"{TMP}/missing.json"],
+              ["plan", "moe", "--shape-file", f"{TMP}/dense.json"],
+              ["plan", "dense", "--shape-file", MOE],
+              # flag defaults: --tokens 0, --n-column N
+              ["plan", "moe", "--shape-file", MOE],
+              ["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"],
+              ["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file", SHAPES,
+               "--hparams-from", "moe_7b_fixed_compute"]]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs + _usage_errors()))]
+
+
+def run(argv: list[str], tmp: Path) -> dict[str, Any]:
+    """Exit code, stdout and stderr of one argv, with ``tmp`` written as ``{tmp}``."""
+    from moebudget import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([a.replace(TMP, str(tmp)) for a in argv])
+        except SystemExit as exc:  # -h prints its help, then exits
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue().replace(str(tmp), TMP),
+            "stderr": err.getvalue().replace(str(tmp), TMP)}
+
+
+def record(result: dict[str, Any]) -> dict[str, Any]:
+    """The pinned form of a ``run`` result."""
+    digest = hashlib.sha256(result["stdout"].encode()).hexdigest()
+    return {"argv": result["argv"], "exit": result["exit"], "stdout_sha256": digest,
+            "stderr": result["stderr"]}
+
+
+def run_corpus() -> list[dict[str, Any]]:
+    # help text wraps at $COLUMNS, and $MOEBUDGET_FIXTURES would move the tables
+    env = {k: v for k, v in os.environ.items() if k != "MOEBUDGET_FIXTURES"}
+    with tempfile.TemporaryDirectory() as name, \
+            mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
+        tmp = Path(name)
+        return [run(argv, tmp) for argv in build(tmp)]
+
+
+def python_version() -> str:
+    # argparse's usage and help texts differ between Python versions
+    return "{}.{}".format(*sys.version_info)
+
+
+def write_digests(results: list[dict[str, Any]]) -> None:
+    lines = ",\n".join(json.dumps(record(r)) for r in results)
+    DIGESTS.write_text(f'{{"python": {json.dumps(python_version())}, "records": [\n'
+                       f"{lines}\n]}}\n")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/golden/corpus.py --write")
+    corpus = run_corpus()
+    write_digests(corpus)
+    print(f"wrote {len(corpus)} records to {DIGESTS}")

@@ -16,6 +16,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 import moebudget
 from moebudget.arch import derive_budget, shape_from_json, shape_to_json
+from moebudget import cli
 from moebudget.cli import CommandResult, dispatch
 from moebudget.kernel import GradCheckSettings, grad_check
 from moebudget.search import SearchSpec, search
@@ -263,6 +264,21 @@ class TestStrictInput:
         _assert_rejected(result)
         assert "\n" not in result.diagnostics
 
+    @pytest.mark.parametrize("argv,what", [
+        (["plan", "moe", "--shape-file"], "shape file"),
+        (["budget", "--compute", "1e21", "--shape-file"], "shape file"),
+        (["sweep", "--fixed", "c", "--value", "1e21", "--shapes-file"], "shapes file"),
+        (["train-toy", "--config"], "config file"),
+    ])
+    def test_input_file_nested_too_deeply(self, tmp_path, argv, what):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        result = dispatch([*argv, str(path)])
+        _assert_rejected(result)
+        assert result.diagnostics.startswith(
+            f"{what} {path} is not valid JSON: maximum recursion depth exceeded")
+        assert "\n" not in result.diagnostics
+
     @pytest.mark.parametrize("obj", [
         pytest.param([1], id="not-an-object"),
         pytest.param({"stepz": 1}, id="unknown-key"),
@@ -360,21 +376,23 @@ def _sweep_argv(fixed, value):
 _SEARCH = ["search", "--target-n", "6.52e9", "--target-ra", "0.2"]
 _DENSE = ["dense-baseline", "--target-n", "6.48e9", "--zeta", "128", "--alpha", "2.69"]
 _REUSE = ["reuse", "--scheme", "strict", "--tokens", "5.11e11", "--unique-tokens", "6.8e10"]
-# (valid command, flags set together to one value): each flag of the six planning
-# commands alone, and the two caps on search's top_k together
+# valid argv lists of the seven planning commands
+_PLANNING_BASES = {
+    "plan": [["plan", "moe", "--shape-file", "{moe}", "--tokens", "3.16e11"]],
+    "budget": [["budget", "--compute", "2.86e21", "--shape-file", "{moe}"]],
+    "search": [_SEARCH],
+    "dense-baseline": [_DENSE],
+    "reuse": [_REUSE],
+    "sweep": [_sweep_argv("c", "2.86e21"), _sweep_argv("d", "3.16e11")],
+    "fit-hparams": [["fit-hparams", "--from-fixture", "moe_7b_fixed_compute", "--target", "eta"]],
+}
+# (valid command, flags set together to one value): each numeric flag of the planning
+# commands' cli.COMMANDS rows alone, and the two caps on search's top_k together
 PLANNING_FLAGS = [
-    (["plan", "moe", "--shape-file", "{moe}", "--tokens", "3.16e11"], "--tokens"),
-    (["budget", "--compute", "2.86e21", "--shape-file", "{moe}"], "--compute"),
-    *[(_SEARCH, flag) for flag in ("--target-n", "--target-ra", "--zeta", "--mu", "--alpha",
-                                   "--head-dim", "--seq-len", "--k-min", "--k-max",
-                                   "--de-multiple", "--max-experts", "--limit")],
-    *[(_DENSE, flag) for flag in ("--target-n", "--zeta", "--alpha", "--head-dim",
-                                  "--seq-len")],
-    (_REUSE, "--tokens"), (_REUSE, "--unique-tokens"),
-    (_sweep_argv("c", "2.86e21"), "--value"), (_sweep_argv("d", "3.16e11"), "--value"),
-    (_sweep_argv("c", "2.86e21"), "--unique-tokens"),
-    (_SEARCH, "--k-max", "--max-experts"),
-]
+    (base, flag) for command, bases in _PLANNING_BASES.items() for base in bases
+    for flag, keywords in cli.COMMANDS[command][2]
+    if keywords.get("type") in (cli._count, cli._real, int)
+] + [(_SEARCH, "--k-max", "--max-experts")]
 FUZZ_VALUES = ["0", "1", "0.5", "1e-300", "1e300", "-1", str(2**70)]
 
 
@@ -397,6 +415,23 @@ class TestPlanningCommandsContract:
             assert result.payload == "" and result.diagnostics, (argv, result)
         if result.payload:
             _strict_json(result.payload)
+
+    def test_fuzzed_flags_cover_the_flags_once_listed_by_hand(self):
+        by_hand = [
+            (_PLANNING_BASES["plan"][0], "--tokens"),
+            (_PLANNING_BASES["budget"][0], "--compute"),
+            *[(_SEARCH, flag) for flag in ("--target-n", "--target-ra", "--zeta", "--mu",
+                                           "--alpha", "--head-dim", "--seq-len", "--k-min",
+                                           "--k-max", "--de-multiple", "--max-experts",
+                                           "--limit")],
+            *[(_DENSE, flag) for flag in ("--target-n", "--zeta", "--alpha", "--head-dim",
+                                          "--seq-len")],
+            (_REUSE, "--tokens"), (_REUSE, "--unique-tokens"),
+            (_sweep_argv("c", "2.86e21"), "--value"), (_sweep_argv("d", "3.16e11"), "--value"),
+            (_sweep_argv("c", "2.86e21"), "--unique-tokens"),
+            (_SEARCH, "--k-max", "--max-experts"),
+        ]
+        assert [case for case in by_hand if case not in PLANNING_FLAGS] == []
 
     @pytest.mark.parametrize("fixed,value,message", [
         ("c", "1", "shape 0: compute 1 buys 0 tokens at 9034629120 FLOPs per token"),

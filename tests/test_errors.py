@@ -48,7 +48,8 @@ def test_dispatch_maps_each_class_to_its_exit_code(monkeypatch, module, name, ba
     def fail(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_cmd_reuse", fail)
+    help_text, _, flags = cli.COMMANDS["reuse"]
+    monkeypatch.setitem(cli.COMMANDS, "reuse", (help_text, fail, flags))
     result = cli.dispatch(["reuse", "--scheme", "loose", "--tokens", "1"])
     assert result.exit_code == exit_code
     assert result.payload == ""

@@ -354,6 +354,10 @@ def rewrite_fixture_csv(edit):
                  id="index-not-json"),
     pytest.param(lambda d: (d / "tables.json").write_text("[]"), "must hold a JSON object",
                  id="index-not-an-object"),
+    pytest.param(lambda d: (d / "tables.json").write_text("[" * 100_000),
+                 "is not valid JSON: maximum recursion depth", id="index-nested-too-deep"),
+    pytest.param(lambda d: (d / "tables.json").write_bytes(b"\xff\xfe{}"),
+                 "is not valid JSON: 'utf-8' codec can't decode", id="index-not-utf8"),
     pytest.param(lambda d: (d / "moe_7b_fixed_compute.csv").unlink(), "fixture file not found",
                  id="csv-missing"),
     pytest.param(rewrite_fixture_csv(lambda text: ""), "has no header row", id="no-header"),
@@ -362,6 +366,9 @@ def rewrite_fixture_csv(edit):
                  "non-numeric value 'x' in column r_a", id="non-numeric"),
     pytest.param(rewrite_fixture_csv(lambda text: text.splitlines()[0] + "\n"),
                  "has no data rows", id="no-data-rows"),
+    pytest.param(lambda d: (d / "moe_7b_fixed_compute.csv").write_bytes(
+        (d / "moe_7b_fixed_compute.csv").read_bytes() + b"\xff\xfe"),
+        "moe_7b_fixed_compute.csv is not UTF-8: 'utf-8' codec can't decode", id="csv-not-utf8"),
 ])
 def test_unreadable_index_or_table_is_a_fixture_error(tmp_path, edit, message):
     copy_tables(tmp_path)
