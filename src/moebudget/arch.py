@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,15 @@ ARRANGEMENTS = ("full", "one_dense", "interleave")
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ShapeError(message)
+
+
+def check_bounds(obj: Any, error: type[Exception], **lowest: float) -> None:
+    """Raise ``error`` for the first field of ``obj``, in argument order, that is not
+    ``>=`` its bound in ``lowest``; a NaN is never ``>=``, so it fails too."""
+    for name, low in lowest.items():
+        value = getattr(obj, name)
+        if not value >= low:
+            raise error(f"{name} must be >= {low}, got {value}")
 
 
 def check_routing(experts: int, top_k: int, normalized: bool,
@@ -48,12 +58,8 @@ class DenseShape:
     seq_len: int = 2048
 
     def __post_init__(self) -> None:
-        _require(self.layers >= 1, f"layers must be >= 1, got {self.layers}")
-        _require(self.model_dim >= 1, f"model_dim must be >= 1, got {self.model_dim}")
-        _require(self.ffn_dim >= 1, f"ffn_dim must be >= 1, got {self.ffn_dim}")
-        _require(self.seq_len >= 1, f"seq_len must be >= 1, got {self.seq_len}")
-        _require(self.heads >= 1 and self.head_dim >= 1,
-                 f"heads and head_dim must be >= 1, got {self.heads}, {self.head_dim}")
+        check_bounds(self, ShapeError, layers=1, model_dim=1, ffn_dim=1, seq_len=1,
+                     heads=1, head_dim=1)
         _require(self.heads * self.head_dim == self.model_dim,
                  f"heads * head_dim must equal model_dim: "
                  f"{self.heads} * {self.head_dim} != {self.model_dim}")
@@ -62,11 +68,6 @@ class DenseShape:
     def ffn_ratio(self) -> float:
         """FFN width over model width (alpha)."""
         return self.ffn_dim / self.model_dim
-
-    @property
-    def seq_ratio(self) -> float:
-        """Sequence length over model width (gamma)."""
-        return self.seq_len / self.model_dim
 
 
 @dataclass(frozen=True)
@@ -89,16 +90,14 @@ class MoEShape:
     gate_normalized: bool = False
 
     def __post_init__(self) -> None:
-        _require(self.moe_layers >= 1, f"moe_layers must be >= 1, got {self.moe_layers}")
+        check_bounds(self, ShapeError, moe_layers=1)
         split = layer_split(self.base.layers, self.arrangement)
         _require((self.moe_layers, self.dense_layers) == split,
                  f"moe_layers + dense_layers must equal layers as {self.arrangement} splits "
                  f"them: {self.moe_layers} + {self.dense_layers} != {split[0]} + {split[1]}")
-        _require(self.experts >= 1, f"experts must be >= 1, got {self.experts}")
+        check_bounds(self, ShapeError, experts=1)
         check_routing(self.experts, self.top_k, self.gate_normalized)
-        _require(self.expert_dim >= 1, f"expert_dim must be >= 1, got {self.expert_dim}")
-        _require(self.shared_expert_dim >= 0,
-                 f"shared_expert_dim must be >= 0, got {self.shared_expert_dim}")
+        check_bounds(self, ShapeError, expert_dim=1, shared_expert_dim=0)
 
     @property
     def model_dim(self) -> int:
@@ -156,11 +155,13 @@ def moe_fwd_flops(shape: MoEShape) -> int:
     return 2 * active + 4 * shape.model_dim * shape.seq_len * shape.base.layers
 
 
-def training_compute(fwd_flops_per_token: int | float, tokens: int) -> int:
-    """Training FLOPs for a token budget: 3 forward passes per token."""
+def training_compute(fwd_flops_per_token: int, tokens: int) -> int:
+    """Training FLOPs for a token budget: 3 forward passes per token, on exact counts."""
+    fwd = json_value("fwd_flops_per_token", fwd_flops_per_token, "int", ShapeError)
+    tokens = json_value("tokens", tokens, "int", ShapeError)
     if tokens < 0:
         raise ShapeError(f"tokens must be >= 0, got {tokens}")
-    return 3 * int(fwd_flops_per_token) * int(tokens)
+    return 3 * fwd * tokens
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,6 @@ class ComputeRatio:
 def compute_ratio(moe: MoEShape, dense: DenseShape, seq_len: int | None = None) -> ComputeRatio:
     """Evaluate the MoE/dense per-token compute ratio at a shared sequence length."""
     s = seq_len if seq_len is not None else moe.seq_len
-    _require(s >= 1, f"seq_len must be >= 1, got {s}")
     r_a = activation_rate(moe)
     alpha = dense.ffn_ratio
     beta = moe.active_expert_ratio
@@ -294,7 +294,7 @@ def json_value(key: str, value: Any, kind: str, error: type[Exception]) -> Any:
         if kind == "float" and (isinstance(value, float)
                                 or abs(value) <= sys.float_info.max):
             return float(value)
-    raise error(f"{key} must be {kind}, got {value!r}")
+    raise error(f"{key} must be {kind}, got {reprlib.repr(value)}")
 
 
 def read_json_file(path: str | Path, what: str, error: type[Exception]) -> Any:

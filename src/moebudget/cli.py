@@ -367,13 +367,15 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
                          description="MoE/dense budget accounting, config search, "
                                      "experiment planning, and the reference kernel")
         sub = parser.add_subparsers(dest="command", required=True)
-        # only the named command's parser, unless argv[0] names none: then the usage
-        # error or top-level help lists every command
-        for name in (argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS):
+        named = bool(argv) and argv[0] in COMMANDS
+        # only the named command's parser; if argv[0] names none, every command without
+        # its flags, so the usage error or top-level help lists them, and an unknown
+        # option before a command is reported, not that command's missing flags
+        for name in (argv[:1] if named else COMMANDS):
             help_text, _, flags = COMMANDS[name]
             p = sub.add_parser(name, help=help_text, argument_default=(
                 argparse.SUPPRESS if name in _OWNER_DEFAULTS else None))
-            for flag, keywords in flags + _FORMAT_FLAGS:
+            for flag, keywords in (flags + _FORMAT_FLAGS if named else ()):
                 p.add_argument(flag, **keywords)
         args = parser.parse_args(argv)
         _, handler, _ = COMMANDS[args.command]

@@ -47,7 +47,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .arch import check_routing
+from .arch import check_bounds, check_routing
 from .errors import KernelError
 
 
@@ -512,17 +512,10 @@ class GradCheckSettings:
     lam: float = 0.01
 
     def __post_init__(self) -> None:
-        # a NaN fails every comparison, so it is rejected too
-        for name, ok, rule in (("experts", self.experts >= 1, ">= 1"),
-                               ("model_dim", self.model_dim >= 1, ">= 1"),
-                               ("expert_dim", self.expert_dim >= 1, ">= 1"),
-                               ("shared_dim", self.shared_dim >= 0, ">= 0"),
-                               ("seed", self.seed >= 0, ">= 0"),
-                               ("trials", self.trials >= 1, ">= 1"),
-                               ("lam", self.lam >= 0, ">= 0"),
-                               ("tolerance", self.tolerance > 0, "> 0")):
-            if not ok:
-                raise KernelError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_bounds(self, KernelError, experts=1, model_dim=1, expert_dim=1, shared_dim=0,
+                     seed=0, trials=1, lam=0)
+        if not self.tolerance > 0:
+            raise KernelError(f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

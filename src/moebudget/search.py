@@ -22,6 +22,7 @@ from .arch import (
     DerivedBudget,
     MoEShape,
     ShapeError,
+    check_bounds,
     derive_budget,
     layer_split,
     shape_to_json,
@@ -43,6 +44,11 @@ def _too_large(layers: int) -> SearchSpecError:
     # the exact-int parameter count overflowed where it met a float ratio
     return SearchSpecError(f"the shape at {layers} layers is too large to compare with "
                            f"target_params; a ratio is too large")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:
+        raise SearchSpecError(f"{name} must be > 0, got {value}")
 
 
 def _snap(value: float, multiple: int) -> int:
@@ -70,23 +76,16 @@ class SearchSpec:
     max_candidates: int = 20
 
     def __post_init__(self) -> None:
-        if self.target_params < 1:
-            raise SearchSpecError(f"target_params must be >= 1, got {self.target_params}")
+        check_bounds(self, SearchSpecError, target_params=1)
         if not 0.0 < self.target_activation_rate <= 1.0:
             raise SearchSpecError(
                 f"target_activation_rate must be in (0, 1], got {self.target_activation_rate}")
         for name in ("aspect_ratio", "expert_width_ratio", "dense_ffn_ratio"):
-            if getattr(self, name) <= 0:
-                raise SearchSpecError(f"{name} must be > 0")
+            _check_positive(name, getattr(self, name))
         if self.arrangement not in ARRANGEMENTS:
             raise SearchSpecError(f"arrangement must be one of {ARRANGEMENTS}")
-        if not 1 <= self.k_min <= self.k_max:
-            raise SearchSpecError("need 1 <= k_min <= k_max")
-        if self.head_dim < 1 or self.expert_dim_multiple < 1:
-            raise SearchSpecError("head_dim and expert_dim_multiple must be >= 1")
-        for name in ("max_experts", "max_candidates"):
-            if getattr(self, name) < 1:
-                raise SearchSpecError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_bounds(self, SearchSpecError, k_min=1, k_max=self.k_min, head_dim=1,
+                     expert_dim_multiple=1, max_experts=1, max_candidates=1)
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,10 @@ def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
     """
     if target_params < 1:
         raise SearchSpecError(f"target_params must be >= 1, got {target_params}")
-    if aspect_ratio <= 0 or ffn_ratio <= 0 or head_dim < 1:
-        raise SearchSpecError("aspect_ratio, ffn_ratio and head_dim must be positive")
+    _check_positive("aspect_ratio", aspect_ratio)
+    _check_positive("ffn_ratio", ffn_ratio)
+    if head_dim < 1:
+        raise SearchSpecError(f"head_dim must be >= 1, got {head_dim}")
     best: tuple[float, int, DenseShape] | None = None
     for layers in range(1, _DENSE_MAX_LAYERS + 1):
         model_dim = max(head_dim, _snap(aspect_ratio * layers, head_dim))

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .arch import check_routing, read_fields
+from .arch import check_bounds, check_routing, read_fields
 from .errors import DivergenceError, ToyConfigError
 from .kernel import (
     BlockParams,
@@ -55,14 +55,10 @@ class ToyTask:
     concentration: float = 1.0  # sharper cluster distributions for larger values
 
     def __post_init__(self) -> None:
-        for name, ok, rule in (
-                ("clusters", self.clusters >= 2, ">= 2"),
-                ("vocab", self.vocab >= 2, ">= 2"),
-                ("seq_len", self.seq_len >= 2, ">= 2"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("concentration", 0 <= self.concentration < math.inf, "finite and >= 0")):
-            if not ok:
-                raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_bounds(self, ToyConfigError, clusters=2, vocab=2, seq_len=2, seed=0)
+        if not 0 <= self.concentration < math.inf:
+            raise ToyConfigError(
+                f"concentration must be finite and >= 0, got {self.concentration}")
 
     def cluster_distributions(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -107,20 +103,13 @@ class ToyTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, ok, rule in (
-                ("steps", self.steps >= 0, ">= 0"),
-                ("lam", self.lam >= 0, ">= 0"),
-                ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
-                ("momentum", math.isfinite(self.momentum) and self.momentum >= 0,
-                 "finite and >= 0"),
-                ("batch_sequences", self.batch_sequences >= 1, ">= 1"),
-                ("model_dim", self.model_dim >= 1, ">= 1"),
-                ("expert_dim", self.expert_dim >= 1, ">= 1"),
-                ("experts", self.experts >= 1, ">= 1"),
-                ("shared_dim", self.shared_dim >= 0, ">= 0"),
-                ("seed", self.seed >= 0, ">= 0")):
-            if not ok:
-                raise ToyConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_bounds(self, ToyConfigError, steps=0, lam=0)
+        if not 0 < self.lr < math.inf:
+            raise ToyConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.momentum < math.inf:
+            raise ToyConfigError(f"momentum must be finite and >= 0, got {self.momentum}")
+        check_bounds(self, ToyConfigError, batch_sequences=1, model_dim=1, expert_dim=1,
+                     experts=1, shared_dim=0, seed=0)
         check_routing(self.experts, self.top_k, self.normalized, ToyConfigError)
 
 

@@ -4,8 +4,9 @@ The argv lists come from the shipped fixture rows (``plan``, ``budget`` and
 ``reuse`` per row, JSON and ``--csv``), every ``fit-hparams`` table x target x
 parameter column x ``--ra`` choice, a fixed grid of ``search``,
 ``dense-baseline`` and ``sweep`` cases, ``validate-fixtures``, usage errors of
-every command and every ``-h`` text. ``grad-check`` and ``train-toy`` appear
-only as usage errors and help: their payloads depend on the BLAS build.
+every command, the bounds of every config record and every ``-h`` text.
+``grad-check`` and ``train-toy`` appear only as usage errors, config errors and
+help: their payloads depend on the BLAS build.
 
 Each argv runs in process through ``moebudget.cli.main``. Input files live in
 a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
@@ -161,6 +162,42 @@ def build(tmp: Path) -> list[list[str]]:
             for n_column in ("N", "N_a"):
                 argvs.append([*sweep, "--shapes-file", bare, "--hparams-from", table.name,
                               "--n-column", n_column])
+
+    # one argv per bound of each config record, and a record with two bad fields; each
+    # fails before any BLAS work, so these diagnostics are the same on every numpy build
+    for kind, row, bad in (("dense", shape["dense_baselines"][0],
+                            {"L": 0, "D_m": 0, "D_ffn": 0, "H": 0, "D_h": 0, "S": 0}),
+                           ("moe", shape["moe_7b_fixed_compute"][0],
+                            {"L_e": 0, "E": 0, "D_e": 0, "D_se": -1})):
+        for key, value in bad.items():
+            path = write(f"bad-{key}.json", {**row, key: value})
+            argvs.append(["plan", kind, "--shape-file", path])
+    for flag, value in (("--E", "0"), ("--D_m", "0"), ("--D_e", "0"), ("--D_se", "-1"),
+                        ("--seed", "-1"), ("--trials", "0"), ("--lam", "-1"),
+                        ("--tolerance", "0")):
+        argvs.append(["grad-check", flag, value])
+    argvs.append(["grad-check", "--lam", "-1", "--E", "0"])
+    toy_bad = [{"vocab": 1}, {"seq_len": 1}, {"clusters": 1}, {"task_seed": -1},
+               {"concentration": -1}, {"steps": -1}, {"lam": -1}, {"lam": float("nan")},
+               {"lr": 0}, {"momentum": -1}, {"batch_sequences": 0}, {"model_dim": 0},
+               {"expert_dim": 0}, {"experts": 0}, {"shared_dim": -1}, {"seed": -1},
+               {"seed": -1, "steps": -1}]
+    for index, config in enumerate(toy_bad):
+        argvs.append(["train-toy", "--config", write(f"toy-bad-{index}.json", config)])
+    argvs.append(["train-toy", "--config", write("toy-default.json", {}), "--seed", "-1"])
+    target = ["--target-n", "6.52e9", "--target-ra", "0.2"]
+    argvs += [["search", "--target-n", "0", "--target-ra", "0.2"],
+              ["search", "--target-n", "6.52e9", "--target-ra", "0"],
+              *(["search", *target, *tail] for tail in (
+                  ["--zeta", "0"], ["--mu", "0"], ["--alpha", "0"], ["--k-min", "0"],
+                  ["--k-max", "1", "--k-min", "2"], ["--head-dim", "0"],
+                  ["--de-multiple", "0"], ["--max-experts", "0"], ["--limit", "0"],
+                  ["--k-min", "0", "--head-dim", "0"]))]
+    dense_target = ["dense-baseline", "--target-n", "6.48e9"]
+    argvs += [["dense-baseline", "--target-n", "0", "--zeta", "128", "--alpha", "2.69"],
+              [*dense_target, "--zeta", "0", "--alpha", "2.69"],
+              [*dense_target, "--zeta", "128", "--alpha", "0"],
+              [*dense_target, "--zeta", "128", "--alpha", "2.69", "--head-dim", "0"]]
 
     argvs += [*_formats(["validate-fixtures"]),
               *(["validate-fixtures", "--table", t.name] for t in tables),

@@ -25,6 +25,8 @@ from moebudget.arch import (
     shape_to_json,
     training_compute,
 )
+from moebudget.kernel import GradCheckSettings, KernelError
+from moebudget.search import SearchSpec, SearchSpecError
 from moebudget.toylab import ToyConfigError, ToyTrainConfig, toy_config_from_json
 
 DENSE_7B = DenseShape(layers=32, model_dim=4096, ffn_dim=11008, heads=32,
@@ -82,7 +84,7 @@ class TestDenseFlops:
         shape = DenseShape(layers=layers, model_dim=64 * width_units, ffn_dim=ffn,
                            heads=width_units, head_dim=64, seq_len=seq)
         n = dense_params(shape)
-        closed = 2 * n * (1 + 2 * shape.seq_ratio / (4 + 3 * shape.ffn_ratio))
+        closed = 2 * n * (1 + 2 * (shape.seq_len / shape.model_dim) / (4 + 3 * shape.ffn_ratio))
         assert rel(dense_fwd_flops(shape), closed) <= 1e-12
 
 
@@ -196,14 +198,51 @@ class TestComputeRatio:
 
 class TestTrainingCompute:
     def test_seven_b_reference_row(self):
-        m_train = 9.07e9
-        assert rel(training_compute(m_train / 3, int(3.16e11)), 2.86e21) <= 0.01
+        m_fwd = 3_023_333_333  # M_train 9.07e9 / 3
+        assert rel(training_compute(m_fwd, int(3.16e11)), 2.86e21) <= 0.01
 
     def test_zero_tokens(self):
         assert training_compute(1e9, 0) == 0
 
     def test_dense_seven_b_row(self):
-        assert rel(training_compute(4.21e10 / 3, int(1.30e11)), 5.45e21) <= 0.01
+        assert rel(training_compute(14_033_333_333, int(1.30e11)), 5.45e21) <= 0.01
+
+    def test_integral_floats_convert_exactly(self):
+        assert training_compute(2.0 ** 60, 3.0) == 9 * 2 ** 60
+
+    @pytest.mark.parametrize("fwd, tokens, message", [
+        (1.5, 2, "fwd_flops_per_token must be int, got 1.5"),
+        (2, 2.9, "tokens must be int, got 2.9"),
+        (2, -1, "tokens must be >= 0, got -1")])
+    def test_fractional_or_negative_counts_raise(self, fwd, tokens, message):
+        with pytest.raises(ShapeError) as info:
+            training_compute(fwd, tokens)
+        assert str(info.value) == message
+
+
+class TestCheckBounds:
+    @pytest.mark.parametrize("record, error", [(GradCheckSettings, KernelError),
+                                               (ToyTrainConfig, ToyConfigError)])
+    def test_nan_fails_its_bound(self, record, error):
+        with pytest.raises(error) as info:
+            record(lam=math.nan)
+        assert str(info.value) == "lam must be >= 0, got nan"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GradCheckSettings(lam=-1.0, experts=0), "experts must be >= 1, got 0"),
+        (lambda: ToyTrainConfig(seed=-1, batch_sequences=0),
+         "batch_sequences must be >= 1, got 0"),
+        (lambda: dataclasses.replace(DENSE_7B, layers=0, heads=0), "layers must be >= 1, got 0"),
+    ])
+    def test_first_bad_field_is_reported(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_k_max_below_k_min_names_k_max(self):
+        with pytest.raises(SearchSpecError) as info:
+            SearchSpec(target_params=10**9, target_activation_rate=0.2, k_min=3, k_max=2)
+        assert str(info.value) == "k_max must be >= 3, got 2"
 
 
 class TestBudgetRecord:

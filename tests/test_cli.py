@@ -75,6 +75,12 @@ class TestExitCodes:
         result = dispatch(["frobnicate"])
         assert result.exit_code == 1
 
+    def test_unknown_option_before_a_command_is_named(self):
+        result = dispatch(["--bogus", "plan"])
+        assert result.exit_code == 1
+        assert result.diagnostics == ("moebudget: error: unrecognized arguments: --bogus; "
+                                      "see 'moebudget -h' for usage")
+
     def test_kind_mismatch(self, dense_shape_file):
         result = dispatch(["plan", "moe", "--shape-file", dense_shape_file])
         assert result.exit_code == 1
@@ -292,6 +298,17 @@ class TestStrictInput:
         result = dispatch(["train-toy", "--config", str(path)])
         _assert_rejected(result)
         assert "\n" not in result.diagnostics
+
+    @pytest.mark.parametrize("argv, key, obj", [
+        (["plan", "moe", "--shape-file"], "L", MOE_7B_SHAPE),
+        (["train-toy", "--config"], "steps", {}),
+    ])
+    def test_wrong_type_is_echoed_bounded(self, tmp_path, argv, key, obj):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({**obj, key: None}).replace("null", "[" * 100 + "]" * 100))
+        result = dispatch([*argv, str(path)])
+        _assert_rejected(result)
+        assert result.diagnostics == f"{key} must be int, got [[[[[[[...]]]]]]]"
 
     @pytest.mark.parametrize("entry", [
         pytest.param({"eta": 1e-3, "B": 24.5}, id="fractional-B"),
