@@ -234,7 +234,7 @@ def derive_budget(shape: DenseShape | MoEShape, tokens: int = 0) -> DerivedBudge
         fwd = dense_fwd_flops(shape)
     else:
         raise ShapeError(f"unsupported shape type {type(shape).__name__}")
-    tokens = int(tokens)
+    tokens = json_value("tokens", tokens, "int", ShapeError)
     return DerivedBudget(
         total_params=total,
         active_params=active,

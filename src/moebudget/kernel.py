@@ -34,9 +34,11 @@ the backward; ``y``, the cache and the gradients alias its buffers until the
 next call on it. Writing through ``out=`` changes no operand or operation order.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
-trial against forward-only central differences, evaluated for all perturbed
-copies of theta followed by the input in stacked chunks; each copy is routed
-from its own scores.
+trial against forward-only central differences over every entry of theta
+followed by the input. The unperturbed copy runs the whole block once a trial;
+each perturbed copy reruns only the gate, routed expert or shared expert its
+entry feeds (every part for an input entry), routed from its own scores, with
+the reruns of a chunk of copies stacked into one matmul per weight.
 """
 
 from __future__ import annotations
@@ -566,38 +568,95 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
                                                               np.abs(numeric)), 1e-3)
 
 
-# Float64 entries per stacked forward: a chunk holds max(1, _FD_ENTRIES // P)
-# perturbed copies of the P checked entries, so scratch memory stays near
-# 8 * _FD_ENTRIES bytes unless one copy alone is larger; 2**18 was the fastest
-# budget of a 2**15..2**19 sweep.
+# Float64 entries per chunk of perturbed copies: a chunk holds max(1, _FD_ENTRIES // P)
+# copies of the P checked entries, so their memory stays near 8 * _FD_ENTRIES bytes
+# unless one copy alone is larger.
 _FD_ENTRIES = 2**18
 
 
-def _stacked_totals(thetas: np.ndarray, layout: Layout, probe: np.ndarray, lam: float,
-                    top_k: int, normalized: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class _Base:
+    """What the perturbed copies of one flat theta (block and x) share: which
+    part of the block each entry feeds, and theta's own run of every part."""
+
+    feeds: np.ndarray          # (experts + 2, size) bool: gate, routed experts, shared
+    gate_weights: np.ndarray   # (1, n, experts)
+    balance: np.ndarray        # (1,) balance loss
+    out: np.ndarray            # (1, experts, n, model_dim) every routed expert's output
+    shared: np.ndarray | None  # (1, n, model_dim) shared expert output
+
+
+def _gate_terms(weight: np.ndarray, x: np.ndarray, top_k: int,
+                normalized: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gate weights and balance loss of stacked copies, each routed from its own scores."""
+    scores, mask, gate_weights, _ = _batch_gate(weight, x, top_k, normalized)
+    n, experts = scores.shape[-2:]
+    return gate_weights, experts * (mask.sum(axis=-2) / n * scores.mean(axis=-2)).sum(axis=-1)
+
+
+def _swiglu_out(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
+                w_down: np.ndarray) -> np.ndarray:
+    """silu(x @ w_gate.T) * (x @ w_up.T) @ w_down.T, one matmul per stacked matrix."""
+    hidden = _silu(x @ w_gate.swapaxes(-1, -2)) * (x @ w_up.swapaxes(-1, -2))
+    return hidden @ w_down.swapaxes(-1, -2)
+
+
+def _base(theta: np.ndarray, layout: Layout, top_k: int, normalized: bool) -> _Base:
+    """The shared state of theta's copies; every routed expert runs on theta."""
+    p = layout.views(theta[None])
+    experts = p["gate.weight"].shape[1]
+    feeds = np.zeros((experts + 2, layout.size), dtype=bool)
+    f = layout.views(feeds)
+    f["gate.weight"][0] = f["x"][...] = True
+    for name, view in f.items():
+        if name.startswith("experts."):
+            view[1 + np.arange(experts), np.arange(experts)] = True
+        elif name.startswith("shared."):
+            view[-1] = True
+    gate_weights, balance = _gate_terms(p["gate.weight"], p["x"], top_k, normalized)
+    out = _swiglu_out(p["x"][:, None], p["experts.w_gate"], p["experts.w_up"],
+                      p["experts.w_down"])
+    shared = _swiglu_out(p["x"], p["shared.w_gate"], p["shared.w_up"],
+                         p["shared.w_down"]) if "shared.w_gate" in p else None
+    return _Base(feeds, gate_weights, balance, out, shared)
+
+
+def _stacked_totals(thetas: np.ndarray, entries: np.ndarray, base: _Base, layout: Layout,
+                    probe: np.ndarray, lam: float, top_k: int,
+                    normalized: bool) -> np.ndarray:
     """sum(probe * y) + lam * balance_loss for every row of ``thetas``, forward only.
 
-    Each row holds the block parameters and the input x, flat in ``layout``.
-    Every copy is routed from its own scores; the routed experts run densely,
-    masked by their zero gate weights, and are mixed in ascending expert order
-    like ``moe_batch_forward``.
+    Each row is a copy of the flat theta (block parameters and the input x, in
+    ``layout``) of ``base`` that differs from it at most in its entry ``entries[i]``.
+    Only the part of the block that entry feeds reruns, routed from the row's
+    own scores: the gate for ``gate.weight``, routed expert e for ``experts.*[e]``
+    (all (row, expert) pairs in one stacked matmul per weight), the shared
+    expert for ``shared.*``, and all of them for x. The other parts come from
+    ``base``. Every expert is mixed in, in ascending order, by its gate weight,
+    zero if unselected, as in ``moe_batch_forward``.
     """
-    p = layout.views(thetas)
-    x = p["x"]
-    scores, mask, gate_weights, _ = _batch_gate(p["gate.weight"], x, top_k, normalized)
-    xe = x[:, None]
-    hidden = _silu(xe @ p["experts.w_gate"].swapaxes(-1, -2)) \
-        * (xe @ p["experts.w_up"].swapaxes(-1, -2))
-    out = hidden @ p["experts.w_down"].swapaxes(-1, -2)  # (c, experts, n, model_dim)
-    y = np.zeros_like(x)
+    c = thetas.shape[0]
+    p, feeds = layout.views(thetas), base.feeds[:, entries]
+    gate_weights, balance = np.repeat(base.gate_weights, c, axis=0), np.repeat(base.balance, c)
+    rows = np.flatnonzero(feeds[0])
+    if rows.size:
+        gate_weights[rows], balance[rows] = _gate_terms(p["gate.weight"][rows], p["x"][rows],
+                                                        top_k, normalized)
+    out = np.repeat(base.out, c, axis=0)
+    pairs = np.nonzero(feeds[1:-1].T)
+    if pairs[0].size:
+        out[pairs] = _swiglu_out(p["x"][pairs[0]], p["experts.w_gate"][pairs],
+                                 p["experts.w_up"][pairs], p["experts.w_down"][pairs])
+    y = np.zeros(p["x"].shape)
     for i in range(out.shape[1]):
         y += gate_weights[..., i, None] * out[:, i]
-    if "shared.w_gate" in p:
-        shared_h = _silu(x @ p["shared.w_gate"].swapaxes(-1, -2)) \
-            * (x @ p["shared.w_up"].swapaxes(-1, -2))
-        y += shared_h @ p["shared.w_down"].swapaxes(-1, -2)
-    n, experts = scores.shape[-2:]
-    balance = experts * (mask.sum(axis=-2) / n * scores.mean(axis=-2)).sum(axis=-1)
+    if base.shared is not None:
+        shared = np.repeat(base.shared, c, axis=0)
+        rows = np.flatnonzero(feeds[-1])
+        if rows.size:
+            shared[rows] = _swiglu_out(p["x"][rows], p["shared.w_gate"][rows],
+                                       p["shared.w_up"][rows], p["shared.w_down"][rows])
+        y += shared
     return (probe * y).sum(axis=(-2, -1)) + lam * balance
 
 
@@ -609,8 +668,11 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     selected set is locally constant; the backward pass runs on the cache of
     the forward that accepted the draw. Every parameter entry and every input
     entry is perturbed: theta is the block's flat parameters followed by x,
-    and the 2P copies theta +- h e_j are evaluated forward only, in stacked
-    chunks of at most ``_FD_ENTRIES`` entries, each routed from its own scores.
+    and the 2P copies theta +- h e_j are evaluated forward only, in chunks of
+    at most ``_FD_ENTRIES`` entries. The unperturbed theta runs every part of
+    the block once a trial; each copy reruns only the gate, routed expert or
+    shared expert its entry feeds (all of them for an entry of x), routed from
+    its own scores, and takes the rest from theta's run.
     """
     rng = np.random.default_rng(settings.seed)
     trials: list[GradCheckTrial] = []
@@ -623,13 +685,15 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
         analytic = np.concatenate([grads.theta, grads.x.ravel()])
         h = _FD_STEP * np.maximum(1.0, np.abs(theta))
         bumped = np.concatenate([theta + h, theta - h])
+        base = _base(theta, layout, params.top_k, params.normalized)
         totals = np.empty_like(bumped)
         chunk = max(1, _FD_ENTRIES // theta.size)
         for start in range(0, bumped.size, chunk):
             rows = np.arange(start, min(start + chunk, bumped.size))
+            entries = rows % theta.size
             copies = np.tile(theta, (rows.size, 1))
-            copies[np.arange(rows.size), rows % theta.size] = bumped[rows]
-            totals[rows] = _stacked_totals(copies, layout, probe, settings.lam,
+            copies[np.arange(rows.size), entries] = bumped[rows]
+            totals[rows] = _stacked_totals(copies, entries, base, layout, probe, settings.lam,
                                            params.top_k, params.normalized)
         errors = _rel_error(analytic, (totals[:theta.size] - totals[theta.size:]) / (2 * h))
         if not np.all(np.isfinite(errors)):  # NaN or inf in either gradient, or overflow

@@ -5,8 +5,11 @@ The argv lists come from the shipped fixture rows (``plan``, ``budget`` and
 parameter column x ``--ra`` choice, a fixed grid of ``search``,
 ``dense-baseline`` and ``sweep`` cases, ``validate-fixtures``, usage errors of
 every command, the bounds of every config record and every ``-h`` text.
-``grad-check`` and ``train-toy`` appear only as usage errors, config errors and
-help: their payloads depend on the BLAS build.
+``train-toy`` appears only as usage errors, config errors and help.
+
+The ``grad-check`` payloads (``GRAD_CHECK``) depend on the numpy and BLAS
+build, so ``digests.json`` keeps them apart, under ``numpy_records``, with the
+build that wrote them (``numpy_build``).
 
 Each argv runs in process through ``moebudget.cli.main``. Input files live in
 a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
@@ -40,7 +43,17 @@ COMMANDS = ("plan", "budget", "search", "dense-baseline", "reuse", "fit-hparams"
 SCHEMAS = {"plan": "budget_payload", "budget": "budget_payload", "search": "search_result",
            "dense-baseline": "budget_payload", "reuse": "reuse_plan",
            "fit-hparams": "power_law_fit", "sweep": "sweep_plan",
-           "validate-fixtures": "fixture_report"}
+           "grad-check": "grad_check_report", "validate-fixtures": "fixture_report"}
+# criterion 3's ten variants (top_k, normalized, shared_dim) at three trials each, the
+# default settings and one CSV
+_CRITERION_3 = [(top_k, normalized, shared) for top_k in (1, 2, 4)
+                for normalized in (False, True) if not (top_k == 1 and normalized)
+                for shared in (0, 4)]
+GRAD_CHECK = [["grad-check", "--E", "4", "--D_m", "5", "--D_e", "3", "--K", str(top_k),
+               *(["--normalized"] if normalized else []), "--D_se", str(shared),
+               "--seed", str(100 + index), "--trials", "3"]
+              for index, (top_k, normalized, shared) in enumerate(_CRITERION_3)]
+GRAD_CHECK += [["grad-check"], ["grad-check", "--csv"]]
 # command -> (a valid argv tail, one of its required flags, a choice flag, a typed flag)
 _USAGE = {
     "plan": (["moe", "--shape-file", MOE], "--shape-file", "--format", "--tokens"),
@@ -235,12 +248,13 @@ def record(result: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_corpus() -> list[dict[str, Any]]:
+    """The results of every argv of ``build`` and then of ``GRAD_CHECK``."""
     # help text wraps at $COLUMNS, and $MOEBUDGET_FIXTURES would move the tables
     env = {k: v for k, v in os.environ.items() if k != "MOEBUDGET_FIXTURES"}
     with tempfile.TemporaryDirectory() as name, \
             mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
         tmp = Path(name)
-        return [run(argv, tmp) for argv in build(tmp)]
+        return [run(argv, tmp) for argv in build(tmp) + GRAD_CHECK]
 
 
 def python_version() -> str:
@@ -248,10 +262,22 @@ def python_version() -> str:
     return "{}.{}".format(*sys.version_info)
 
 
+def numpy_build() -> dict[str, str]:
+    """The numpy version and the BLAS it was built with, which the grad-check bits follow."""
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
 def write_digests(results: list[dict[str, Any]]) -> None:
-    lines = ",\n".join(json.dumps(record(r)) for r in results)
+    def lines(rows: list[dict[str, Any]]) -> str:
+        return ",\n".join(json.dumps(record(r)) for r in rows)
+
+    numpy = [r for r in results if r["argv"] in GRAD_CHECK]
+    rest = [r for r in results if r["argv"] not in GRAD_CHECK]
     DIGESTS.write_text(f'{{"python": {json.dumps(python_version())}, "records": [\n'
-                       f"{lines}\n]}}\n")
+                       f'{lines(rest)}\n], "numpy": {json.dumps(numpy_build())}, '
+                       f'"numpy_records": [\n{lines(numpy)}\n]}}\n')
 
 
 if __name__ == "__main__":

@@ -18,16 +18,36 @@ def results():
     return corpus.run_corpus()
 
 
+def differing(pinned, results):
+    """The argv lists, joined, whose pinned record and result differ or lack a partner."""
+    expected = {tuple(r["argv"]): r for r in pinned}
+    got = {tuple(r["argv"]): corpus.record(r) for r in results}
+    return sorted(" ".join(argv) or "(empty argv)" for argv in expected.keys() | got.keys()
+                  if expected.get(argv) != got.get(argv))
+
+
 def test_every_argv_keeps_its_record(results):
     pinned = json.loads(corpus.DIGESTS.read_text())
-    expected = {tuple(r["argv"]): r for r in pinned["records"]}
-    got = {tuple(r["argv"]): corpus.record(r) for r in results}
-    differ = sorted(" ".join(argv) or "(empty argv)" for argv in expected.keys() | got.keys()
-                    if expected.get(argv) != got.get(argv))
+    rest = [r for r in results if r["argv"] not in corpus.GRAD_CHECK]
+    differ = differing(pinned["records"], rest)
     assert not differ, (
-        f"{len(differ)} of {len(got)} argv lists differ from {corpus.DIGESTS.name}, recorded "
+        f"{len(differ)} of {len(rest)} argv lists differ from {corpus.DIGESTS.name}, recorded "
         f"under Python {pinned['python']} (this is {corpus.python_version()}); after a "
         f"deliberate change run 'python tests/golden/corpus.py --write': " + "; ".join(differ))
+
+
+def test_every_grad_check_payload_keeps_its_record(results):
+    # the payloads' last bits follow numpy's BLAS, so they are pinned for one build
+    pinned = json.loads(corpus.DIGESTS.read_text())
+    build = corpus.numpy_build()
+    assert pinned["numpy"] == build, (
+        f"the grad-check records of {corpus.DIGESTS.name} were written with {pinned['numpy']} "
+        f"and this is {build}; compare them on the recorded build")
+    differ = differing(pinned["numpy_records"],
+                       [r for r in results if r["argv"] in corpus.GRAD_CHECK])
+    assert not differ, (
+        f"{len(differ)} grad-check argv lists differ from {corpus.DIGESTS.name}, recorded "
+        f"with {build}: " + "; ".join(differ))
 
 
 def test_every_json_payload_meets_its_schema(results):

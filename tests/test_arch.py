@@ -254,6 +254,14 @@ class TestBudgetRecord:
         assert math.isclose(budget.activation_rate,
                             budget.active_params / budget.total_params)
 
+    @pytest.mark.parametrize("tokens, message", [
+        (2.9, "tokens must be int, got 2.9"), (1.5, "tokens must be int, got 1.5"),
+        (True, "tokens must be int, got True"), (-1, "tokens must be >= 0, got -1")])
+    def test_token_count_is_read_exactly(self, tokens, message):
+        with pytest.raises(ShapeError) as info:
+            derive_budget(MOE_7B, tokens=tokens)
+        assert str(info.value) == message
+
     def test_json_keys(self):
         record = derive_budget(MOE_2B, tokens=10).to_json_dict()
         assert set(record) == {"N", "N_a", "r_a", "M_fwd", "M_train", "C", "D",

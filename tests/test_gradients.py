@@ -1,5 +1,7 @@
 """Manual backward pass against central finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ def flatten(params, x):
     return layout, np.concatenate([params.theta, x.ravel()])
 
 
+def stacked_totals(rows, entries, theta, layout, probe, lam, top_k, normalized):
+    """_stacked_totals of copies of theta, each differing at most in its entry."""
+    base = kernel._base(theta, layout, top_k, normalized)
+    return _stacked_totals(rows, np.asarray(entries), base, layout, probe, lam, top_k,
+                           normalized)
+
+
 def scalar_total(row, layout, probe, lam, top_k, normalized):
     """The total of one flat copy through moe_batch_forward and the balance stats."""
     arr = layout.views(row)
@@ -103,6 +112,17 @@ def scalar_total(row, layout, probe, lam, top_k, normalized):
 
 def assert_close(stacked, scalar):
     assert abs(stacked - scalar) <= 1e-12 * max(abs(scalar), 1.0), (stacked, scalar)
+
+
+def entry_per_part(rng, layout):
+    """One random flat entry of gate.weight, of each expert in each experts.* weight,
+    of each shared weight and of x."""
+    entries = []
+    for name, off, shape in layout.entries:
+        blocks = shape[0] if name.startswith("experts.") else 1
+        size = math.prod(shape) // blocks
+        entries += [off + block * size + int(rng.integers(size)) for block in range(blocks)]
+    return np.array(entries)
 
 
 @pytest.mark.parametrize("normalized,shared,full_k", [
@@ -126,9 +146,12 @@ def test_stacked_totals_match_scalar_forward(normalized, shared, full_k):
         probe = rng.normal(size=x.shape)
         lam = float(rng.choice([0.0, 0.01, 0.5]))
         layout, theta = flatten(params, x)
-        rows = theta + 0.3 * rng.normal(size=(9, theta.size))
-        stacked = _stacked_totals(rows, layout, probe, lam, top_k, normalized)
-        assert stacked.shape == (9,)
+        entries = entry_per_part(rng, layout)
+        assert entries.size == 1 + 3 * experts + 3 * shared + 1
+        rows = np.tile(theta, (entries.size, 1))
+        rows[np.arange(entries.size), entries] += 0.3 * rng.normal(size=entries.size)
+        stacked = stacked_totals(rows, entries, theta, layout, probe, lam, top_k, normalized)
+        assert stacked.shape == (entries.size,)
         for row, total in zip(rows, stacked):
             assert_close(total, scalar_total(row, layout, probe, lam, top_k, normalized)[0])
 
@@ -152,7 +175,7 @@ def test_stacked_totals_reroute_perturbed_copies():
     rows = np.tile(theta, (3, 1))
     rows[1, j] += h
     rows[2, j] -= h
-    stacked = _stacked_totals(rows, layout, probe, 0.01, 2, False)
+    stacked = stacked_totals(rows, [j] * 3, theta, layout, probe, 0.01, 2, False)
     masks = []
     for row, total in zip(rows, stacked):
         expected, cache = scalar_total(row, layout, probe, 0.01, 2, False)
@@ -160,6 +183,58 @@ def test_stacked_totals_reroute_perturbed_copies():
         masks.append(cache.mask[0].tolist())
     assert masks[0] == masks[2] == [True, True, False, False]
     assert masks[1] == [True, False, True, False]
+
+
+def dense_totals(thetas, layout, probe, lam, top_k, normalized):
+    """The reference: every part of the block on every row, all experts densely."""
+    p = layout.views(thetas)
+    x = p["x"]
+    scores, mask, gate_weights, _ = kernel._batch_gate(p["gate.weight"], x, top_k, normalized)
+    xe = x[:, None]
+    hidden = kernel._silu(xe @ p["experts.w_gate"].swapaxes(-1, -2)) \
+        * (xe @ p["experts.w_up"].swapaxes(-1, -2))
+    out = hidden @ p["experts.w_down"].swapaxes(-1, -2)  # (c, experts, n, model_dim)
+    y = np.zeros_like(x)
+    for i in range(out.shape[1]):
+        y += gate_weights[..., i, None] * out[:, i]
+    if "shared.w_gate" in p:
+        shared_h = kernel._silu(x @ p["shared.w_gate"].swapaxes(-1, -2)) \
+            * (x @ p["shared.w_up"].swapaxes(-1, -2))
+        y += shared_h @ p["shared.w_down"].swapaxes(-1, -2)
+    n, experts = scores.shape[-2:]
+    balance = experts * (mask.sum(axis=-2) / n * scores.mean(axis=-2)).sum(axis=-1)
+    return (probe * y).sum(axis=(-2, -1)) + lam * balance
+
+
+# (experts, top_k, normalized, model_dim, expert_dim, shared_dim, tokens): criterion 3's
+# variants, then one expert, Top-K over every expert, and shapes without a shared expert
+EXACT_SHAPES = [(4, top_k, normalized, 5, 3, shared, 2)
+                for top_k, normalized, shared in CRITERION_3_VARIANTS] + [
+    (1, 1, False, 3, 2, 0, 3), (1, 1, False, 1, 1, 2, 1), (3, 3, True, 2, 1, 2, 2),
+    (5, 5, False, 4, 2, 0, 4), (6, 2, True, 3, 4, 0, 1), (2, 1, False, 1, 3, 1, 3)]
+
+
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+def test_stacked_totals_equal_the_dense_reference(shape):
+    experts, top_k, normalized, model_dim, expert_dim, shared_dim, tokens = shape
+    rng = np.random.default_rng(list(shape))
+    params = init_block_params(rng, experts, top_k, model_dim, expert_dim, shared_dim,
+                               normalized)
+    x = rng.normal(size=(tokens, model_dim))
+    probe = rng.normal(size=x.shape)
+    layout, theta = flatten(params, x)
+    size = theta.size
+    bumped = np.concatenate([theta + 1e-5, theta - 1e-5])
+    base = kernel._base(theta, layout, top_k, normalized)
+    for chunk in (2 * size, 1, 7):  # grad_check's chunk loop
+        for start in range(0, 2 * size, chunk):
+            rows = np.arange(start, min(start + chunk, 2 * size))
+            copies = np.tile(theta, (rows.size, 1))
+            copies[np.arange(rows.size), rows % size] = bumped[rows]
+            stacked = _stacked_totals(copies, rows % size, base, layout, probe, 0.01,
+                                      top_k, normalized)
+            dense = dense_totals(copies, layout, probe, 0.01, top_k, normalized)
+            assert np.array_equal(stacked, dense), (chunk, start)
 
 
 CHUNK_SETTINGS = GradCheckSettings(experts=4, top_k=2, model_dim=5, expert_dim=3,
