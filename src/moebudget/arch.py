@@ -319,6 +319,15 @@ def shape_to_json(shape: DenseShape | MoEShape) -> dict[str, Any]:
     raise ShapeError(f"unsupported shape type {type(shape).__name__}")
 
 
+def table_columns(shape: DenseShape | MoEShape, budget: DerivedBudget) -> dict[str, Any]:
+    """The paper's table columns of a shape and its budget, unrounded: the
+    ``shape_to_json`` keys, then N, N_a, r_a in percent, M (training FLOPs per
+    token), D, C and D/N."""
+    return {**shape_to_json(shape), "N": budget.total_params, "N_a": budget.active_params,
+            "r_a": 100 * budget.activation_rate, "M": budget.train_flops_per_token,
+            "D": budget.tokens, "C": budget.train_compute, "D/N": budget.tokens_per_param}
+
+
 def shape_from_json(obj: Any) -> DenseShape | MoEShape:
     """Inverse of shape_to_json; presence of an "E" key selects MoE."""
     if isinstance(obj, dict) and "E" in obj:

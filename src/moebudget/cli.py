@@ -143,19 +143,15 @@ def _cmd_search(args: argparse.Namespace) -> CommandResult:
                              diagnostics)
 
     def table() -> tuple[list[str], list[list[Any]]]:
-        header = ["rank", "L", "D_m", "D_ffn", "H", "D_h", "L_e", "L_d", "E", "K",
-                  "D_e", "D_se", "N", "N_a", "r_a", "M", "delta_N_rel", "delta_ra_abs"]
+        names = ("L", "D_m", "D_ffn", "H", "D_h", "L_e", "L_d", "E", "K", "D_e", "D_se",
+                 "N", "N_a", "r_a", "M")
         rows = []
         for rank, cand in enumerate(result.candidates):
-            s, budget = cand.shape, cand.budget
-            rows.append([rank, s.base.layers, s.base.model_dim, s.base.ffn_dim,
-                         s.base.heads, s.base.head_dim, s.moe_layers, s.dense_layers,
-                         s.experts, s.top_k, s.expert_dim, s.shared_expert_dim,
-                         budget.total_params, budget.active_params,
-                         round(100 * budget.activation_rate, 2),
-                         budget.train_flops_per_token,
+            columns = arch.table_columns(cand.shape, cand.budget)
+            columns["r_a"] = round(columns["r_a"], 2)
+            rows.append([rank, *(columns[name] for name in names),
                          cand.delta_params_rel, cand.delta_activation_abs])
-        return header, rows
+        return ["rank", *names, "delta_N_rel", "delta_ra_abs"], rows
 
     # a found result drops the skip summaries: they matter only when nothing was found
     return CommandResult(EXIT_OK, _payload(args, result.to_json_dict(), table))

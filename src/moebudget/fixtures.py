@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any
 
 from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, json_value,
-                   read_json_file, shape_from_json)
+                   read_json_file, shape_from_json, table_columns)
 from .errors import FixtureError
 from .planner import iterations
 
@@ -269,18 +269,16 @@ def validate_table(table: FixtureTable) -> ValidationReport:
     for idx, row in enumerate(table.rows):
         shape = table.row_shape(row)
         tokens = table.row_tokens(row)
-        budget = derive_budget(shape, tokens=tokens)
+        columns = table_columns(shape, derive_budget(shape, tokens=tokens))
 
         if table.kind == "dense":
-            check(idx, "N", row["N"], budget.total_params, REL_TOL)
+            check(idx, "N", row["N"], columns["N"], REL_TOL)
         else:
-            check(idx, "N", total, budget.total_params, REL_TOL)
-            check(idx, "N_a", row["N_a"], budget.active_params, REL_TOL)
-            check(idx, "r_a", row["r_a"], 100.0 * budget.activation_rate,
-                  RA_TOL_PERCENT, absolute=True)
-        check(idx, "M", row["M"], budget.train_flops_per_token, REL_TOL)
-        check(idx, "C", row["C"], budget.train_compute, REL_TOL)
-        check(idx, "D/N", row["D/N"], budget.tokens_per_param, REL_TOL)
+            check(idx, "N", total, columns["N"], REL_TOL)
+            check(idx, "N_a", row["N_a"], columns["N_a"], REL_TOL)
+            check(idx, "r_a", row["r_a"], columns["r_a"], RA_TOL_PERCENT, absolute=True)
+        for name in ("M", "C", "D/N"):
+            check(idx, name, row[name], columns[name], REL_TOL)
 
         check(idx, "Iters", row["Iters"], iterations(tokens, int(row["B"]), shape.seq_len),
               ITERS_REL_TOL)

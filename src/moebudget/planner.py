@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Any, Sequence
 
-from .arch import DenseShape, DerivedBudget, MoEShape, derive_budget, json_value, shape_to_json
+from .arch import (DenseShape, DerivedBudget, MoEShape, derive_budget, json_value,
+                   shape_to_json, table_columns)
 from .errors import IdentifiabilityError, PlannerError
 
 # Recipe constants shared by every plan; recorded in plan metadata, the
@@ -352,8 +353,8 @@ def build_sweep(fixed: str, value: int | float,
     Learning rate and batch size come either from ``row_hparams`` (one
     (eta, B) pair per shape) or from ``hparam_fits`` (an (eta_fit, batch_fit)
     pair of power laws, each evaluated at the row's token budget and at the
-    parameter count it was fitted on: active for "N_a", else total; predicted
-    batch sizes snap to multiples of 8). A row too small for one optimizer step
+    ``table_columns`` count it was fitted on, N or N_a; predicted batch sizes
+    snap to multiples of 8). A row too small for one optimizer step
     is a PlannerError. Rows are sorted by activation rate. An optional reuse
     scheme, read by ``reuse_plan``, fills the epochs column.
     """
@@ -382,9 +383,8 @@ def build_sweep(fixed: str, value: int | float,
             if not (0 < eta < math.inf and batch >= 1):
                 raise PlannerError(f"need finite eta > 0 and B >= 1, got {eta!r}, {batch!r}")
         else:
-            eta, batch = (fit.predict(budget.active_params if fit.n_column == "N_a"
-                                      else budget.total_params, tokens)
-                          for fit in hparam_fits)
+            columns = table_columns(shape, budget)
+            eta, batch = (fit.predict(columns[fit.n_column], tokens) for fit in hparam_fits)
             batch = snap_batch(batch)
         iters = iterations(tokens, batch, shape.seq_len)
         if iters == 0:
@@ -400,29 +400,13 @@ def build_sweep(fixed: str, value: int | float,
 
 def sweep_to_csv_rows(plan: SweepPlan) -> tuple[list[str], list[list[Any]]]:
     """Fixture-table-style CSV projection of a sweep plan (plus an epochs column)."""
-    header = ["N", "N_a", "r_a", "M", "D", "C", "D/N", "E", "K", "D_e", "D_se",
-              "eta", "B", "Iters", "epochs", "warmup"]
+    names = ("N", "N_a", "r_a", "M", "D", "C", "D/N", "E", "K", "D_e", "D_se")
     out: list[list[Any]] = []
     for row in plan.rows:
-        shape = row.shape
-        is_moe = isinstance(shape, MoEShape)
-        out.append([
-            row.budget.total_params,
-            row.budget.active_params,
-            round(100.0 * row.budget.activation_rate, 2),
-            row.budget.train_flops_per_token,
-            row.budget.tokens,
-            row.budget.train_compute,
-            round(row.budget.tokens_per_param, 2),
-            shape.experts if is_moe else "",
-            shape.top_k if is_moe else "",
-            shape.expert_dim if is_moe else "",
-            shape.shared_expert_dim if is_moe else "",
-            row.eta,
-            row.batch_sequences,
-            row.iterations,
-            row.epochs,
-            row.warmup_iters,
-        ])
-    return header, out
+        columns = table_columns(row.shape, row.budget)
+        columns["r_a"], columns["D/N"] = round(columns["r_a"], 2), round(columns["D/N"], 2)
+        # a dense row leaves the MoE-only columns empty
+        out.append([*(columns.get(name, "") for name in names), row.eta, row.batch_sequences,
+                    row.iterations, row.epochs, row.warmup_iters])
+    return [*names, "eta", "B", "Iters", "epochs", "warmup"], out
 

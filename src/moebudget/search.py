@@ -21,7 +21,6 @@ from .arch import (
     DenseShape,
     DerivedBudget,
     MoEShape,
-    ShapeError,
     check_bounds,
     derive_budget,
     layer_split,
@@ -67,7 +66,7 @@ class SearchSpec:
     expert_width_ratio: float = 22.0  # (shared + experts * expert_dim) / model_dim (mu)
     dense_ffn_ratio: float = 2.77     # ffn_dim / model_dim for dense layers (alpha)
     head_dim: int = 128
-    seq_len: int = 2048
+    seq_len: int = DenseShape.seq_len
     arrangement: str = "one_dense"
     k_min: int = 2                    # ranking preference; top_k=1 stays enumerable
     k_max: int = 32
@@ -85,7 +84,7 @@ class SearchSpec:
         if self.arrangement not in ARRANGEMENTS:
             raise SearchSpecError(f"arrangement must be one of {ARRANGEMENTS}")
         check_bounds(self, SearchSpecError, k_min=1, k_max=self.k_min, head_dim=1,
-                     expert_dim_multiple=1, max_experts=1, max_candidates=1)
+                     seq_len=1, expert_dim_multiple=1, max_experts=1, max_candidates=1)
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,8 @@ def search(spec: SearchSpec) -> SearchResult:
 
 
 def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
-                   head_dim: int = 128, seq_len: int = 2048) -> DenseShape:
+                   head_dim: int = SearchSpec.head_dim,
+                   seq_len: int = SearchSpec.seq_len) -> DenseShape:
     """Smallest-|delta N| dense shape on the head_dim grid for a parameter target.
 
     Deterministic: ties in |delta N| break toward fewer layers. Raises

@@ -104,6 +104,8 @@ class ToyTrainConfig:
 
     def __post_init__(self) -> None:
         check_bounds(self, ToyConfigError, steps=0, lam=0)
+        if not self.lam < math.inf:
+            raise ToyConfigError(f"lam must be finite, got {self.lam}")
         if not 0 < self.lr < math.inf:
             raise ToyConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.momentum < math.inf:

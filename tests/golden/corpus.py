@@ -5,11 +5,11 @@ The argv lists come from the shipped fixture rows (``plan``, ``budget`` and
 parameter column x ``--ra`` choice, a fixed grid of ``search``,
 ``dense-baseline`` and ``sweep`` cases, ``validate-fixtures``, usage errors of
 every command, the bounds of every config record and every ``-h`` text.
-``train-toy`` appears only as usage errors, config errors and help.
 
-The ``grad-check`` payloads (``GRAD_CHECK``) depend on the numpy and BLAS
-build, so ``digests.json`` keeps them apart, under ``numpy_records``, with the
-build that wrote them (``numpy_build``).
+The ``grad-check`` payloads (``GRAD_CHECK``) and a 200-step ``train-toy`` run
+(``TRAIN_TOY``) depend on the numpy build, the BLAS build and the BLAS core
+that runs them, so ``digests.json`` keeps them apart, under ``numpy_records``,
+with the build that wrote them (``numpy_build``).
 
 Each argv runs in process through ``moebudget.cli.main``. Input files live in
 a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
@@ -23,6 +23,7 @@ Regenerate ``digests.json`` after a deliberate output change with::
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -43,7 +44,8 @@ COMMANDS = ("plan", "budget", "search", "dense-baseline", "reuse", "fit-hparams"
 SCHEMAS = {"plan": "budget_payload", "budget": "budget_payload", "search": "search_result",
            "dense-baseline": "budget_payload", "reuse": "reuse_plan",
            "fit-hparams": "power_law_fit", "sweep": "sweep_plan",
-           "grad-check": "grad_check_report", "validate-fixtures": "fixture_report"}
+           "grad-check": "grad_check_report", "train-toy": "toy_summary",
+           "validate-fixtures": "fixture_report"}
 # criterion 3's ten variants (top_k, normalized, shared_dim) at three trials each, the
 # default settings and one CSV
 _CRITERION_3 = [(top_k, normalized, shared) for top_k in (1, 2, 4)
@@ -54,6 +56,10 @@ GRAD_CHECK = [["grad-check", "--E", "4", "--D_m", "5", "--D_e", "3", "--K", str(
                "--seed", str(100 + index), "--trials", "3"]
               for index, (top_k, normalized, shared) in enumerate(_CRITERION_3)]
 GRAD_CHECK += [["grad-check"], ["grad-check", "--csv"]]
+# a short run of the criterion-7 defaults; build() writes its config
+TRAIN_TOY = [["train-toy", "--config", f"{TMP}/toy-200.json"],
+             ["train-toy", "--config", f"{TMP}/toy-200.json", "--csv"]]
+NUMPY_ARGVS = GRAD_CHECK + TRAIN_TOY
 # command -> (a valid argv tail, one of its required flags, a choice flag, a typed flag)
 _USAGE = {
     "plan": (["moe", "--shape-file", MOE], "--shape-file", "--format", "--tokens"),
@@ -107,6 +113,7 @@ def build(tmp: Path) -> list[list[str]]:
     write("moe.json", shape["moe_7b_fixed_compute"][0])
     write("shapes.json", shape["moe_7b_fixed_compute"])
     write("dense.json", shape["dense_baselines"][0])
+    write("toy-200.json", {"steps": 200})
     argvs: list[list[str]] = []
 
     for table in tables:
@@ -194,7 +201,7 @@ def build(tmp: Path) -> list[list[str]]:
                {"concentration": -1}, {"steps": -1}, {"lam": -1}, {"lam": float("nan")},
                {"lr": 0}, {"momentum": -1}, {"batch_sequences": 0}, {"model_dim": 0},
                {"expert_dim": 0}, {"experts": 0}, {"shared_dim": -1}, {"seed": -1},
-               {"seed": -1, "steps": -1}]
+               {"seed": -1, "steps": -1}, {"lam": float("inf")}]
     for index, config in enumerate(toy_bad):
         argvs.append(["train-toy", "--config", write(f"toy-bad-{index}.json", config)])
     argvs.append(["train-toy", "--config", write("toy-default.json", {}), "--seed", "-1"])
@@ -205,7 +212,8 @@ def build(tmp: Path) -> list[list[str]]:
                   ["--zeta", "0"], ["--mu", "0"], ["--alpha", "0"], ["--k-min", "0"],
                   ["--k-max", "1", "--k-min", "2"], ["--head-dim", "0"],
                   ["--de-multiple", "0"], ["--max-experts", "0"], ["--limit", "0"],
-                  ["--k-min", "0", "--head-dim", "0"]))]
+                  ["--k-min", "0", "--head-dim", "0"], ["--seq-len", "0"])),
+              ["search", "--target-n", "6.52e9", "--target-ra", "0.001", "--seq-len", "0"]]
     dense_target = ["dense-baseline", "--target-n", "6.48e9"]
     argvs += [["dense-baseline", "--target-n", "0", "--zeta", "128", "--alpha", "2.69"],
               [*dense_target, "--zeta", "0", "--alpha", "2.69"],
@@ -248,13 +256,13 @@ def record(result: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_corpus() -> list[dict[str, Any]]:
-    """The results of every argv of ``build`` and then of ``GRAD_CHECK``."""
+    """The results of every argv of ``build`` and then of ``NUMPY_ARGVS``."""
     # help text wraps at $COLUMNS, and $MOEBUDGET_FIXTURES would move the tables
     env = {k: v for k, v in os.environ.items() if k != "MOEBUDGET_FIXTURES"}
     with tempfile.TemporaryDirectory() as name, \
             mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
         tmp = Path(name)
-        return [run(argv, tmp) for argv in build(tmp) + GRAD_CHECK]
+        return [run(argv, tmp) for argv in build(tmp) + NUMPY_ARGVS]
 
 
 def python_version() -> str:
@@ -262,19 +270,34 @@ def python_version() -> str:
     return "{}.{}".format(*sys.version_info)
 
 
-def numpy_build() -> dict[str, str]:
-    """The numpy version and the BLAS it was built with, which the grad-check bits follow."""
+def numpy_build() -> dict[str, str | None]:
+    """The numpy version, the BLAS it was built with and the core that BLAS runs on,
+    which the bits of ``NUMPY_ARGVS`` follow.
+
+    OpenBLAS picks its kernels for the CPU at run time (``OPENBLAS_CORETYPE``
+    overrides the choice), so the core is read from the loaded library; it is
+    None where numpy ships no scipy-openblas or the library lacks the symbol.
+    """
     import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    core = None
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+            break
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "core": core}
 
 
 def write_digests(results: list[dict[str, Any]]) -> None:
     def lines(rows: list[dict[str, Any]]) -> str:
         return ",\n".join(json.dumps(record(r)) for r in rows)
 
-    numpy = [r for r in results if r["argv"] in GRAD_CHECK]
-    rest = [r for r in results if r["argv"] not in GRAD_CHECK]
+    numpy = [r for r in results if r["argv"] in NUMPY_ARGVS]
+    rest = [r for r in results if r["argv"] not in NUMPY_ARGVS]
     DIGESTS.write_text(f'{{"python": {json.dumps(python_version())}, "records": [\n'
                        f'{lines(rest)}\n], "numpy": {json.dumps(numpy_build())}, '
                        f'"numpy_records": [\n{lines(numpy)}\n]}}\n')

@@ -28,7 +28,7 @@ def differing(pinned, results):
 
 def test_every_argv_keeps_its_record(results):
     pinned = json.loads(corpus.DIGESTS.read_text())
-    rest = [r for r in results if r["argv"] not in corpus.GRAD_CHECK]
+    rest = [r for r in results if r["argv"] not in corpus.NUMPY_ARGVS]
     differ = differing(pinned["records"], rest)
     assert not differ, (
         f"{len(differ)} of {len(rest)} argv lists differ from {corpus.DIGESTS.name}, recorded "
@@ -37,16 +37,18 @@ def test_every_argv_keeps_its_record(results):
 
 
 def test_every_grad_check_payload_keeps_its_record(results):
-    # the payloads' last bits follow numpy's BLAS, so they are pinned for one build
+    # the grad-check and train-toy payloads' last bits follow numpy's BLAS and the core
+    # it runs on, so they are pinned for one build and core
     pinned = json.loads(corpus.DIGESTS.read_text())
     build = corpus.numpy_build()
     assert pinned["numpy"] == build, (
-        f"the grad-check records of {corpus.DIGESTS.name} were written with {pinned['numpy']} "
-        f"and this is {build}; compare them on the recorded build")
+        f"the numpy records of {corpus.DIGESTS.name} were written with {pinned['numpy']} "
+        f"and this is {build}; compare them on the recorded build, or on another x86 "
+        f"machine set OPENBLAS_CORETYPE to the recorded core")
     differ = differing(pinned["numpy_records"],
-                       [r for r in results if r["argv"] in corpus.GRAD_CHECK])
+                       [r for r in results if r["argv"] in corpus.NUMPY_ARGVS])
     assert not differ, (
-        f"{len(differ)} grad-check argv lists differ from {corpus.DIGESTS.name}, recorded "
+        f"{len(differ)} numpy argv lists differ from {corpus.DIGESTS.name}, recorded "
         f"with {build}: " + "; ".join(differ))
 
 

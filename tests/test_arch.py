@@ -23,6 +23,7 @@ from moebudget.arch import (
     moe_params,
     shape_from_json,
     shape_to_json,
+    table_columns,
     training_compute,
 )
 from moebudget.kernel import GradCheckSettings, KernelError
@@ -233,6 +234,9 @@ class TestCheckBounds:
         (lambda: ToyTrainConfig(seed=-1, batch_sequences=0),
          "batch_sequences must be >= 1, got 0"),
         (lambda: dataclasses.replace(DENSE_7B, layers=0, heads=0), "layers must be >= 1, got 0"),
+        (lambda: ToyTrainConfig(lam=math.inf), "lam must be finite, got inf"),
+        (lambda: SearchSpec(target_params=10**9, target_activation_rate=0.001, seq_len=0),
+         "seq_len must be >= 1, got 0"),
     ])
     def test_first_bad_field_is_reported(self, make, message):
         with pytest.raises(ValueError) as info:
@@ -266,6 +270,16 @@ class TestBudgetRecord:
         record = derive_budget(MOE_2B, tokens=10).to_json_dict()
         assert set(record) == {"N", "N_a", "r_a", "M_fwd", "M_train", "C", "D",
                                "D_over_N"}
+
+    @pytest.mark.parametrize("shape", [DENSE_2B, MOE_2B])
+    def test_table_columns(self, shape):
+        columns = table_columns(shape, derive_budget(shape, tokens=10**11))
+        assert list(columns) == [*shape_to_json(shape), "N", "N_a", "r_a", "M", "D", "C", "D/N"]
+        # r_a is in percent and unrounded: the CSV writers round it
+        assert columns["r_a"] == 100 * (columns["N_a"] / columns["N"])
+        fwd = moe_fwd_flops(shape) if isinstance(shape, MoEShape) else dense_fwd_flops(shape)
+        assert columns["M"] == 3 * fwd and columns["C"] == columns["M"] * 10**11
+        assert columns["D/N"] == 10**11 / columns["N"]
 
 
 class TestSerialization:

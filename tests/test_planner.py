@@ -298,6 +298,8 @@ class TestBuildSweep:
         assert rel(plan.rows[0].budget.tokens, 1.30e11) <= 0.01
         assert isinstance(plan.rows[0].shape, DenseShape)
         assert not isinstance(plan.rows[0].shape, MoEShape)
+        header, rows = sweep_to_csv_rows(plan)
+        assert [dict(zip(header, rows[0]))[k] for k in ("E", "K", "D_e", "D_se")] == [""] * 4
 
 
 def lstsq_fit(points):
