@@ -380,6 +380,8 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
         return CommandResult(exc.exit_code, "", f"{exc.prefix}{exc}")
     except OSError as exc:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
+    except MemoryError as exc:  # an array too large for the machine
+        return CommandResult(EXIT_VALIDATION, "", f"out of memory: {exc}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -35,17 +35,20 @@ next call on it. Writing through ``out=`` changes no operand or operation order.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences over every entry of theta
-followed by the input. The unperturbed copy runs the whole block once a trial;
-each perturbed copy reruns only the gate, routed expert or shared expert its
-entry feeds (every part for an input entry), routed from its own scores, with
-the reruns of a chunk of copies stacked into one matmul per weight.
+followed by the input. The unperturbed theta runs the whole block once a trial.
+The perturbed copies of one array are stacked, each copy holding only that
+array, and rerun only the gate, routed expert or shared expert it feeds (every
+part for the input), routed from their own scores, one matmul per weight. A
+stack holds 2 * s copies of each block of s entries, 16 * s**2 bytes. The
+largest is usually an ``experts.*`` stack, 16 * experts * (expert_dim *
+model_dim)**2 bytes, or a ``shared.*`` one, 16 * (shared_dim * model_dim)**2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -568,24 +571,6 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
                                                               np.abs(numeric)), 1e-3)
 
 
-# Float64 entries per chunk of perturbed copies: a chunk holds max(1, _FD_ENTRIES // P)
-# copies of the P checked entries, so their memory stays near 8 * _FD_ENTRIES bytes
-# unless one copy alone is larger.
-_FD_ENTRIES = 2**18
-
-
-@dataclass(frozen=True)
-class _Base:
-    """What the perturbed copies of one flat theta (block and x) share: which
-    part of the block each entry feeds, and theta's own run of every part."""
-
-    feeds: np.ndarray          # (experts + 2, size) bool: gate, routed experts, shared
-    gate_weights: np.ndarray   # (1, n, experts)
-    balance: np.ndarray        # (1,) balance loss
-    out: np.ndarray            # (1, experts, n, model_dim) every routed expert's output
-    shared: np.ndarray | None  # (1, n, model_dim) shared expert output
-
-
 def _gate_terms(weight: np.ndarray, x: np.ndarray, top_k: int,
                 normalized: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gate weights and balance loss of stacked copies, each routed from its own scores."""
@@ -601,63 +586,82 @@ def _swiglu_out(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
     return hidden @ w_down.swapaxes(-1, -2)
 
 
-def _base(theta: np.ndarray, layout: Layout, top_k: int, normalized: bool) -> _Base:
-    """The shared state of theta's copies; every routed expert runs on theta."""
-    p = layout.views(theta[None])
-    experts = p["gate.weight"].shape[1]
-    feeds = np.zeros((experts + 2, layout.size), dtype=bool)
-    f = layout.views(feeds)
-    f["gate.weight"][0] = f["x"][...] = True
-    for name, view in f.items():
-        if name.startswith("experts."):
-            view[1 + np.arange(experts), np.arange(experts)] = True
-        elif name.startswith("shared."):
-            view[-1] = True
-    gate_weights, balance = _gate_terms(p["gate.weight"], p["x"], top_k, normalized)
-    out = _swiglu_out(p["x"][:, None], p["experts.w_gate"], p["experts.w_up"],
-                      p["experts.w_down"])
-    shared = _swiglu_out(p["x"], p["shared.w_gate"], p["shared.w_up"],
-                         p["shared.w_down"]) if "shared.w_gate" in p else None
-    return _Base(feeds, gate_weights, balance, out, shared)
+def _copies(array: np.ndarray, moved: np.ndarray, split: int) -> np.ndarray:
+    """Copies of each block of ``array`` (a block per index of its first ``split``
+    axes), stacked as (2, *blocks, size, *block shape): copy j of a block has its flat
+    entry j set to the block's ``moved[:, j]``, with ``moved`` (2, array.size)."""
+    lead, block = array.shape[:split], array.shape[split:]
+    size = math.prod(block)
+    copies = np.empty((2, *lead, size, size))
+    copies[...] = array.reshape(*lead, 1, size)
+    diagonal = np.arange(size)
+    copies[..., diagonal, diagonal] = moved.reshape(2, *lead, size)
+    return copies.reshape(2, *lead, size, *block)
 
 
-def _stacked_totals(thetas: np.ndarray, entries: np.ndarray, base: _Base, layout: Layout,
-                    probe: np.ndarray, lam: float, top_k: int,
-                    normalized: bool) -> np.ndarray:
-    """sum(probe * y) + lam * balance_loss for every row of ``thetas``, forward only.
+def _fd_totals(theta: np.ndarray, moved: np.ndarray, layout: Layout, probe: np.ndarray,
+               lam: float, top_k: int, normalized: bool) -> np.ndarray:
+    """sum(probe * y) + lam * balance_loss, forward only, of the 2P copies of the flat
+    theta (block parameters, then the input x, in ``layout``) that move one entry j
+    to ``moved[0, j]`` or ``moved[1, j]``; returned as (2, P).
 
-    Each row is a copy of the flat theta (block parameters and the input x, in
-    ``layout``) of ``base`` that differs from it at most in its entry ``entries[i]``.
-    Only the part of the block that entry feeds reruns, routed from the row's
-    own scores: the gate for ``gate.weight``, routed expert e for ``experts.*[e]``
-    (all (row, expert) pairs in one stacked matmul per weight), the shared
-    expert for ``shared.*``, and all of them for x. The other parts come from
-    ``base``. Every expert is mixed in, in ascending order, by its gate weight,
-    zero if unselected, as in ``moe_batch_forward``.
+    Theta runs every part of the block once. The copies of one array are stacked,
+    each holding only that array (only its own expert's slice for ``experts.*``, with
+    every expert in the one stack), and rerun only the part it feeds, routed from
+    their own scores: the gate for ``gate.weight``, the copy's routed expert for
+    ``experts.*``, the shared expert for ``shared.*``, and all of them for x. The
+    other parts broadcast from theta's run. Every expert is mixed in, in ascending
+    order, by its gate weight, zero if unselected, as in ``moe_batch_forward``.
     """
-    c = thetas.shape[0]
-    p, feeds = layout.views(thetas), base.feeds[:, entries]
-    gate_weights, balance = np.repeat(base.gate_weights, c, axis=0), np.repeat(base.balance, c)
-    rows = np.flatnonzero(feeds[0])
-    if rows.size:
-        gate_weights[rows], balance[rows] = _gate_terms(p["gate.weight"][rows], p["x"][rows],
-                                                        top_k, normalized)
-    out = np.repeat(base.out, c, axis=0)
-    pairs = np.nonzero(feeds[1:-1].T)
-    if pairs[0].size:
-        out[pairs] = _swiglu_out(p["x"][pairs[0]], p["experts.w_gate"][pairs],
-                                 p["experts.w_up"][pairs], p["experts.w_down"][pairs])
-    y = np.zeros(p["x"].shape)
-    for i in range(out.shape[1]):
-        y += gate_weights[..., i, None] * out[:, i]
-    if base.shared is not None:
-        shared = np.repeat(base.shared, c, axis=0)
-        rows = np.flatnonzero(feeds[-1])
-        if rows.size:
-            shared[rows] = _swiglu_out(p["x"][rows], p["shared.w_gate"][rows],
-                                       p["shared.w_up"][rows], p["shared.w_down"][rows])
-        y += shared
-    return (probe * y).sum(axis=(-2, -1)) + lam * balance
+    p = layout.views(theta)
+    x, experts = p["x"], p["gate.weight"].shape[0]
+    routed = [name for name, _, _ in layout.entries if name.startswith("experts.")]
+    shared = [name for name, _, _ in layout.entries if name.startswith("shared.")]
+    gate = _gate_terms(p["gate.weight"], x, top_k, normalized)
+    out = _swiglu_out(x, *(p[name] for name in routed))  # (experts, n, model_dim)
+    shared_out = _swiglu_out(x, *(p[name] for name in shared)) if shared else None
+
+    def routed_y(lead: tuple[int, ...], gate_weights: np.ndarray,
+                 outs: Callable[[int], np.ndarray]) -> np.ndarray:
+        """y before the shared expert of copies on leading axes ``lead``, with
+        expert i's output outs(i)."""
+        y = np.zeros((*lead, *x.shape))
+        for i in range(experts):
+            y += gate_weights[..., i, None] * outs(i)
+        return y
+
+    def total(y: np.ndarray, balance: np.ndarray, shared_y: np.ndarray | None) -> np.ndarray:
+        if shared_y is not None:
+            y += shared_y
+        return (probe * y).sum(axis=(-2, -1)) + lam * balance
+
+    theta_y = routed_y((), gate[0], out.__getitem__)  # what the shared.* copies add to
+
+    def totals(name: str, moved: np.ndarray) -> np.ndarray:
+        if name == "x":
+            xs = _copies(x, moved, 0)  # (2, size, n, model_dim)
+            gate_weights, balance = _gate_terms(p["gate.weight"], xs, top_k, normalized)
+            rerun = _swiglu_out(xs[:, :, None], *(p[k] for k in routed))
+            return total(routed_y(moved.shape, gate_weights, lambda i: rerun[:, :, i]), balance,
+                         _swiglu_out(xs, *(p[k] for k in shared)) if shared else None)
+        if name == "gate.weight":
+            gate_weights, balance = _gate_terms(_copies(p[name], moved, 0), x, top_k,
+                                                normalized)
+            return total(routed_y(moved.shape, gate_weights, out.__getitem__), balance,
+                         shared_out)
+        if name in routed:  # (2, experts, size of one expert's slice, n, model_dim)
+            rerun = _swiglu_out(x, *(_copies(p[k], moved, 1) if k == name else p[k][:, None]
+                                     for k in routed))
+            own = np.arange(experts)[:, None, None, None]
+            y = routed_y(rerun.shape[:3], gate[0], lambda i: np.where(own == i, rerun, out[i]))
+            return total(y, gate[1], shared_out).reshape(moved.shape)
+        shared_y = _swiglu_out(x, *(_copies(p[k], moved, 0) if k == name else p[k]
+                                    for k in shared))
+        return total(theta_y + shared_y, gate[1], None)
+
+    # one array's copies at a time, each stack freed before the next is built
+    return np.concatenate([totals(name, moved[:, off:off + math.prod(shape)])
+                           for name, off, shape in layout.entries], axis=1)
 
 
 def grad_check(settings: GradCheckSettings) -> GradCheckReport:
@@ -668,11 +672,14 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     selected set is locally constant; the backward pass runs on the cache of
     the forward that accepted the draw. Every parameter entry and every input
     entry is perturbed: theta is the block's flat parameters followed by x,
-    and the 2P copies theta +- h e_j are evaluated forward only, in chunks of
-    at most ``_FD_ENTRIES`` entries. The unperturbed theta runs every part of
-    the block once a trial; each copy reruns only the gate, routed expert or
-    shared expert its entry feeds (all of them for an entry of x), routed from
-    its own scores, and takes the rest from theta's run.
+    and the 2P copies theta +- h e_j are evaluated forward only by
+    ``_fd_totals``, one array's copies at a time. Each copy reruns only the
+    gate, routed expert or shared expert its entry feeds (all of them for an
+    entry of x), routed from its own scores, and takes the rest from theta's
+    run. Memory grows with the shape: the stack of an ``experts.*`` array takes
+    16 * experts * (expert_dim * model_dim)**2 bytes, 2.1 GB at 8 experts and
+    model_dim = expert_dim = 64, and a ``shared.*`` one 16 * (shared_dim *
+    model_dim)**2.
     """
     rng = np.random.default_rng(settings.seed)
     trials: list[GradCheckTrial] = []
@@ -684,18 +691,9 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
         theta = np.concatenate([params.theta, x.ravel()])
         analytic = np.concatenate([grads.theta, grads.x.ravel()])
         h = _FD_STEP * np.maximum(1.0, np.abs(theta))
-        bumped = np.concatenate([theta + h, theta - h])
-        base = _base(theta, layout, params.top_k, params.normalized)
-        totals = np.empty_like(bumped)
-        chunk = max(1, _FD_ENTRIES // theta.size)
-        for start in range(0, bumped.size, chunk):
-            rows = np.arange(start, min(start + chunk, bumped.size))
-            entries = rows % theta.size
-            copies = np.tile(theta, (rows.size, 1))
-            copies[np.arange(rows.size), entries] = bumped[rows]
-            totals[rows] = _stacked_totals(copies, entries, base, layout, probe, settings.lam,
-                                           params.top_k, params.normalized)
-        errors = _rel_error(analytic, (totals[:theta.size] - totals[theta.size:]) / (2 * h))
+        totals = _fd_totals(theta, np.stack([theta + h, theta - h]), layout, probe,
+                            settings.lam, params.top_k, params.normalized)
+        errors = _rel_error(analytic, (totals[0] - totals[1]) / (2 * h))
         if not np.all(np.isfinite(errors)):  # NaN or inf in either gradient, or overflow
             raise KernelError(f"grad-check trial {trial}: the analytic or finite-difference "
                               f"gradient is not finite at lam {settings.lam}")

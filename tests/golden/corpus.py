@@ -8,12 +8,14 @@ every command, the bounds of every config record and every ``-h`` text.
 
 The ``grad-check`` payloads (``GRAD_CHECK``) and a 200-step ``train-toy`` run
 (``TRAIN_TOY``) depend on the numpy build, the BLAS build and the BLAS core
-that runs them, so ``digests.json`` keeps them apart, under ``numpy_records``,
-with the build that wrote them (``numpy_build``).
+that runs them, and numpy words the diagnostic of an allocation too large for
+the machine (``OUT_OF_MEMORY``), so ``digests.json`` keeps them apart, under
+``numpy_records``, with the build that wrote them (``numpy_build``).
 
 Each argv runs in process through ``moebudget.cli.main``. Input files live in
 a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
-record of an argv is its exit code, the SHA-256 of its stdout and its stderr.
+record of an argv is its exit code, the SHA-256 of its stdout (and of each file
+written to its ``--out`` directory, if it has one) and its stderr.
 
 Regenerate ``digests.json`` after a deliberate output change with::
 
@@ -55,11 +57,21 @@ GRAD_CHECK = [["grad-check", "--E", "4", "--D_m", "5", "--D_e", "3", "--K", str(
                *(["--normalized"] if normalized else []), "--D_se", str(shared),
                "--seed", str(100 + index), "--trials", "3"]
               for index, (top_k, normalized, shared) in enumerate(_CRITERION_3)]
-GRAD_CHECK += [["grad-check"], ["grad-check", "--csv"]]
-# a short run of the criterion-7 defaults; build() writes its config
-TRAIN_TOY = [["train-toy", "--config", f"{TMP}/toy-200.json"],
+GRAD_CHECK += [["grad-check"], ["grad-check", "--csv"],
+               # a large shape, one expert, and Top-K over every expert
+               ["grad-check", "--E", "8", "--D_m", "32", "--D_e", "16", "--D_se", "32",
+                "--trials", "1"],
+               ["grad-check", "--E", "1", "--K", "1", "--D_m", "3", "--D_e", "2", "--trials", "3"],
+               ["grad-check", "--E", "3", "--K", "3", "--normalized", "--D_m", "2", "--D_e", "1",
+                "--D_se", "2", "--trials", "3"]]
+# a short run of the criterion-7 defaults, whose --out files are pinned too; build()
+# writes its config
+TRAIN_TOY = [["train-toy", "--config", f"{TMP}/toy-200.json", "--out", f"{TMP}/run"],
              ["train-toy", "--config", f"{TMP}/toy-200.json", "--csv"]]
-NUMPY_ARGVS = GRAD_CHECK + TRAIN_TOY
+# first allocations past the 128 TiB user address space; numpy words the diagnostic
+OUT_OF_MEMORY = [["grad-check", "--D_m", "1000000", "--D_e", "1000000000", "--trials", "1"],
+                 ["train-toy", "--config", f"{TMP}/toy-huge.json"]]
+NUMPY_ARGVS = GRAD_CHECK + TRAIN_TOY + OUT_OF_MEMORY
 # command -> (a valid argv tail, one of its required flags, a choice flag, a typed flag)
 _USAGE = {
     "plan": (["moe", "--shape-file", MOE], "--shape-file", "--format", "--tokens"),
@@ -114,6 +126,7 @@ def build(tmp: Path) -> list[list[str]]:
     write("shapes.json", shape["moe_7b_fixed_compute"])
     write("dense.json", shape["dense_baselines"][0])
     write("toy-200.json", {"steps": 200})
+    write("toy-huge.json", {"model_dim": 10**13, "steps": 1})
     argvs: list[list[str]] = []
 
     for table in tables:
@@ -244,15 +257,24 @@ def run(argv: list[str], tmp: Path) -> dict[str, Any]:
             code = cli.main([a.replace(TMP, str(tmp)) for a in argv])
         except SystemExit as exc:  # -h prints its help, then exits
             code = exc.code
-    return {"argv": argv, "exit": code, "stdout": out.getvalue().replace(str(tmp), TMP),
-            "stderr": err.getvalue().replace(str(tmp), TMP)}
+    result = {"argv": argv, "exit": code, "stdout": out.getvalue().replace(str(tmp), TMP),
+              "stderr": err.getvalue().replace(str(tmp), TMP)}
+    if "--out" in argv:
+        out_dir = Path(argv[argv.index("--out") + 1].replace(TMP, str(tmp)))
+        result["files"] = {path.name: path.read_text() for path in sorted(out_dir.iterdir())}
+    return result
 
 
 def record(result: dict[str, Any]) -> dict[str, Any]:
     """The pinned form of a ``run`` result."""
-    digest = hashlib.sha256(result["stdout"].encode()).hexdigest()
-    return {"argv": result["argv"], "exit": result["exit"], "stdout_sha256": digest,
-            "stderr": result["stderr"]}
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {"argv": result["argv"], "exit": result["exit"],
+              "stdout_sha256": digest(result["stdout"])}
+    if "files" in result:
+        pinned["files_sha256"] = {name: digest(text) for name, text in result["files"].items()}
+    return {**pinned, "stderr": result["stderr"]}
 
 
 def run_corpus() -> list[dict[str, Any]]:

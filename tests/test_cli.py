@@ -134,6 +134,22 @@ class TestExitCodes:
         assert result.diagnostics.startswith(f"{field} must be")
         assert "\n" not in result.diagnostics
 
+    # each first allocation (28.4 and 4.55 PiB) is past the 128 TiB user address space,
+    # so it fails at once on any machine
+    @pytest.mark.parametrize("argv,config", [
+        (["grad-check", "--D_m", "1000000", "--D_e", "1000000000", "--trials", "1"], None),
+        (["train-toy"], {"model_dim": 10**13, "steps": 1}),
+    ])
+    def test_an_allocation_too_large_is_a_validation_error(self, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "toy.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        result = dispatch(argv)
+        assert result.exit_code == 1
+        assert result.payload == ""
+        assert result.diagnostics.startswith("out of memory: Unable to allocate ")
+        assert "\n" not in result.diagnostics
 
     @pytest.mark.parametrize("argv", [
         ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--zeta", "1e308"],

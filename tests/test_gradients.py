@@ -1,6 +1,7 @@
 """Manual backward pass against central finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from moebudget.kernel import (
     BlockParams,
     GradCheckSettings,
     Layout,
-    _stacked_totals,
+    _fd_totals,
     balance_stats,
     grad_check,
     init_block_params,
@@ -93,13 +94,6 @@ def flatten(params, x):
     return layout, np.concatenate([params.theta, x.ravel()])
 
 
-def stacked_totals(rows, entries, theta, layout, probe, lam, top_k, normalized):
-    """_stacked_totals of copies of theta, each differing at most in its entry."""
-    base = kernel._base(theta, layout, top_k, normalized)
-    return _stacked_totals(rows, np.asarray(entries), base, layout, probe, lam, top_k,
-                           normalized)
-
-
 def scalar_total(row, layout, probe, lam, top_k, normalized):
     """The total of one flat copy through moe_batch_forward and the balance stats."""
     arr = layout.views(row)
@@ -148,12 +142,14 @@ def test_stacked_totals_match_scalar_forward(normalized, shared, full_k):
         layout, theta = flatten(params, x)
         entries = entry_per_part(rng, layout)
         assert entries.size == 1 + 3 * experts + 3 * shared + 1
-        rows = np.tile(theta, (entries.size, 1))
-        rows[np.arange(entries.size), entries] += 0.3 * rng.normal(size=entries.size)
-        stacked = stacked_totals(rows, entries, theta, layout, probe, lam, top_k, normalized)
-        assert stacked.shape == (entries.size,)
-        for row, total in zip(rows, stacked):
-            assert_close(total, scalar_total(row, layout, probe, lam, top_k, normalized)[0])
+        moved = theta + 0.3 * rng.normal(size=(2, theta.size))
+        totals = _fd_totals(theta, moved, layout, probe, lam, top_k, normalized)
+        assert totals.shape == (2, theta.size)
+        for side, j in np.ndindex(2, entries.size):
+            row = theta.copy()
+            row[entries[j]] = moved[side, entries[j]]
+            assert_close(totals[side, entries[j]],
+                         scalar_total(row, layout, probe, lam, top_k, normalized)[0])
 
 
 def test_stacked_totals_reroute_perturbed_copies():
@@ -171,15 +167,15 @@ def test_stacked_totals_reroute_perturbed_copies():
     probe = rng.normal(size=x.shape)
     layout, theta = flatten(params, x)
     j = 2 * 3  # gate.weight[2, 0]
-    h = 1e-5 * max(1.0, abs(theta[j]))
-    rows = np.tile(theta, (3, 1))
-    rows[1, j] += h
-    rows[2, j] -= h
-    stacked = stacked_totals(rows, [j] * 3, theta, layout, probe, 0.01, 2, False)
-    masks = []
-    for row, total in zip(rows, stacked):
+    h = 1e-5 * np.maximum(1.0, np.abs(theta))
+    moved = np.stack([theta + h, theta - h])
+    totals = _fd_totals(theta, moved, layout, probe, 0.01, 2, False)
+    masks = [scalar_total(theta, layout, probe, 0.01, 2, False)[1].mask[0].tolist()]
+    for side in (0, 1):
+        row = theta.copy()
+        row[j] = moved[side, j]
         expected, cache = scalar_total(row, layout, probe, 0.01, 2, False)
-        assert_close(total, expected)
+        assert_close(totals[side, j], expected)
         masks.append(cache.mask[0].tolist())
     assert masks[0] == masks[2] == [True, True, False, False]
     assert masks[1] == [True, False, True, False]
@@ -224,44 +220,27 @@ def test_stacked_totals_equal_the_dense_reference(shape):
     probe = rng.normal(size=x.shape)
     layout, theta = flatten(params, x)
     size = theta.size
-    bumped = np.concatenate([theta + 1e-5, theta - 1e-5])
-    base = kernel._base(theta, layout, top_k, normalized)
-    for chunk in (2 * size, 1, 7):  # grad_check's chunk loop
-        for start in range(0, 2 * size, chunk):
-            rows = np.arange(start, min(start + chunk, 2 * size))
-            copies = np.tile(theta, (rows.size, 1))
-            copies[np.arange(rows.size), rows % size] = bumped[rows]
-            stacked = _stacked_totals(copies, rows % size, base, layout, probe, 0.01,
-                                      top_k, normalized)
-            dense = dense_totals(copies, layout, probe, 0.01, top_k, normalized)
-            assert np.array_equal(stacked, dense), (chunk, start)
+    moved = np.stack([theta + 1e-5, theta - 1e-5])
+    totals = _fd_totals(theta, moved, layout, probe, 0.01, top_k, normalized)
+    copies = np.broadcast_to(theta, (2, size, size)).copy()  # the 2P copies, explicitly
+    copies[:, np.arange(size), np.arange(size)] = moved
+    dense = dense_totals(copies.reshape(2 * size, size), layout, probe, 0.01, top_k,
+                         normalized)
+    assert np.array_equal(totals, dense.reshape(2, size))
 
 
-CHUNK_SETTINGS = GradCheckSettings(experts=4, top_k=2, model_dim=5, expert_dim=3,
-                                   shared_dim=4, normalized=True, seed=21, trials=2)
-CHUNK_ENTRIES = 270  # checked entries per trial of CHUNK_SETTINGS: 260 parameters, 10 of x
-
-
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_grad_check_report_is_chunk_invariant(monkeypatch, chunk):
-    default = grad_check(CHUNK_SETTINGS)
-    assert default.checked_entries == 2 * CHUNK_ENTRIES
-    monkeypatch.setattr(kernel, "_FD_ENTRIES", chunk * CHUNK_ENTRIES)
-    assert grad_check(CHUNK_SETTINGS) == default
-
-
-@pytest.mark.parametrize("budget", [kernel._FD_ENTRIES, 2**15, 100])
-def test_stacked_chunks_stay_within_entry_budget(monkeypatch, budget):
-    seen = []
-
-    def recording(thetas, *args):
-        seen.append(thetas.shape)
-        return _stacked_totals(thetas, *args)
-
-    monkeypatch.setattr(kernel, "_stacked_totals", recording)
-    monkeypatch.setattr(kernel, "_FD_ENTRIES", budget)
-    grad_check(CHUNK_SETTINGS)
-    # a budget above the 2P copies of a trial takes them all in one chunk
-    assert seen[0] == (min(max(1, budget // CHUNK_ENTRIES), 2 * CHUNK_ENTRIES), CHUNK_ENTRIES)
-    assert sum(rows for rows, _ in seen) == 2 * 2 * CHUNK_ENTRIES  # two trials of 2P copies
-    assert max(rows * cols for rows, cols in seen) <= max(CHUNK_ENTRIES, budget)
+def test_grad_check_holds_one_stack_of_copies_at_a_time():
+    # P = 4*16 + 3*4*(16*16) + 3*16*16 + 2*16 entries. The largest stack is an experts.*
+    # array's: 2 copies of each expert's 16*16 entries per entry, 16*4*(16*16)**2 bytes,
+    # and two of them live at once would take at least twice that.
+    settings = GradCheckSettings(experts=4, model_dim=16, expert_dim=16, shared_dim=16,
+                                 trials=1)
+    stack = 16 * 4 * (16 * 16) ** 2
+    tracemalloc.start()
+    try:
+        report = grad_check(settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.checked_entries == 4 * 16 + 3 * 4 * 16 * 16 + 3 * 16 * 16 + 2 * 16
+    assert stack <= peak < 2 * stack, (peak, stack)
