@@ -35,10 +35,13 @@ next call on it. Writing through ``out=`` changes no operand or operation order.
 
 The finite-difference oracle (``grad_check``) checks one backward pass per
 trial against forward-only central differences over every entry of theta
-followed by the input. The unperturbed theta runs the whole block once a trial.
-The perturbed copies of one array are stacked, each copy holding only that
-array, and rerun only the gate, routed expert or shared expert it feeds (every
-part for the input), routed from their own scores, one matmul per weight. A
+followed by the input. Each part of the block runs once a trial over every copy
+that needs it, each copy routed from its own scores: one gate pass over theta,
+the input copies and the ``gate.weight`` copies, and one routed and one shared
+pass over the input and its copies. A weight copy reruns only the product its
+weight enters, from theta's silu(a), b and hidden, and is mixed from prefix sums
+of theta's weighted expert outputs, adding the experts in ascending order. The
+copies of one array are stacked and freed before the next array's are built. A
 stack holds 2 * s copies of each block of s entries, 16 * s**2 bytes. The
 largest is usually an ``experts.*`` stack, 16 * experts * (expert_dim *
 model_dim)**2 bytes, or a ``shared.*`` one, 16 * (shared_dim * model_dim)**2.
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -291,9 +294,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _top_k_mask(scores: np.ndarray, top_k: int) -> np.ndarray:
     """Boolean selection mask over the last axis; ties break toward the lowest expert index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :top_k].reshape(-1, top_k)
     mask = np.zeros(scores.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :top_k], True, axis=-1)
+    mask.reshape(-1, scores.shape[-1])[np.arange(len(order))[:, None], order] = True
     return mask
 
 
@@ -449,7 +452,7 @@ def balance_stats(mask: np.ndarray, scores: np.ndarray) -> BalanceStats:
         raise KernelError("balance_stats requires a nonempty batch")
     counts = mask.sum(axis=0).astype(np.int64)
     load = counts / n
-    mean_score = scores.mean(axis=0)
+    mean_score = np.add.reduce(scores, axis=0) / n  # np.mean's bits
     loss = experts * float(np.dot(load, mean_score))
     return BalanceStats(load_fraction=load, mean_score=mean_score, balance_loss=loss,
                         batch_size=n, selection_counts=counts)
@@ -521,6 +524,9 @@ class GradCheckSettings:
                      seed=0, trials=1, lam=0)
         if not self.tolerance > 0:
             raise KernelError(f"tolerance must be > 0, got {self.tolerance}")
+        for name in ("tolerance", "lam"):
+            if not getattr(self, name) < math.inf:
+                raise KernelError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -576,14 +582,17 @@ def _gate_terms(weight: np.ndarray, x: np.ndarray, top_k: int,
     """Gate weights and balance loss of stacked copies, each routed from its own scores."""
     scores, mask, gate_weights, _ = _batch_gate(weight, x, top_k, normalized)
     n, experts = scores.shape[-2:]
-    return gate_weights, experts * (mask.sum(axis=-2) / n * scores.mean(axis=-2)).sum(axis=-1)
+    mean_score = np.add.reduce(scores, axis=-2) / n  # np.mean's bits, without its overhead
+    return gate_weights, experts * (mask.sum(axis=-2) / n * mean_score).sum(axis=-1)
 
 
-def _swiglu_out(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
-                w_down: np.ndarray) -> np.ndarray:
-    """silu(x @ w_gate.T) * (x @ w_up.T) @ w_down.T, one matmul per stacked matrix."""
-    hidden = _silu(x @ w_gate.swapaxes(-1, -2)) * (x @ w_up.swapaxes(-1, -2))
-    return hidden @ w_down.swapaxes(-1, -2)
+def _swiglu_parts(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
+                  w_down: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """silu(a), b, hidden = silu(a) * b and hidden @ w_down.T, with a = x @ w_gate.T and
+    b = x @ w_up.T, one matmul per stacked matrix."""
+    silu, up = _silu(x @ w_gate.swapaxes(-1, -2)), x @ w_up.swapaxes(-1, -2)
+    hidden = silu * up
+    return silu, up, hidden, hidden @ w_down.swapaxes(-1, -2)
 
 
 def _copies(array: np.ndarray, moved: np.ndarray, split: int) -> np.ndarray:
@@ -594,9 +603,29 @@ def _copies(array: np.ndarray, moved: np.ndarray, split: int) -> np.ndarray:
     size = math.prod(block)
     copies = np.empty((2, *lead, size, size))
     copies[...] = array.reshape(*lead, 1, size)
-    diagonal = np.arange(size)
-    copies[..., diagonal, diagonal] = moved.reshape(2, *lead, size)
+    copies.reshape(2, *lead, size * size)[..., ::size + 1] = moved.reshape(2, *lead, size)
     return copies.reshape(2, *lead, size, *block)
+
+
+def _weight_reruns(x: np.ndarray, weights: Sequence[np.ndarray],
+                   parts: Sequence[np.ndarray], moved: Sequence[np.ndarray],
+                   split: int) -> np.ndarray:
+    """Outputs, stacked as (2, 3, *blocks, size, n, model_dim), of one SwiGLU's ``_copies``
+    of each weight (w_gate, w_up, w_down) moved to ``moved[k]``; a copy reruns only the
+    product its weight enters, taking theta's silu(a), b and hidden (``parts``)."""
+    silu, up, hidden = (part[..., None, :, :] for part in parts)  # broadcast over copies
+    w_down = weights[2][..., None, :, :].swapaxes(-1, -2)
+
+    def rerun(k: int) -> np.ndarray:
+        # the stack of copies is freed once this one product is taken
+        product = (hidden if k == 2 else x) @ _copies(weights[k], moved[k], split).swapaxes(-1, -2)
+        if k == 0:
+            return (_silu(product) * up) @ w_down
+        if k == 1:
+            return (silu * product) @ w_down
+        return product
+
+    return np.stack([rerun(k) for k in range(3)], axis=1)
 
 
 def _fd_totals(theta: np.ndarray, moved: np.ndarray, layout: Layout, probe: np.ndarray,
@@ -605,63 +634,59 @@ def _fd_totals(theta: np.ndarray, moved: np.ndarray, layout: Layout, probe: np.n
     theta (block parameters, then the input x, in ``layout``) that move one entry j
     to ``moved[0, j]`` or ``moved[1, j]``; returned as (2, P).
 
-    Theta runs every part of the block once. The copies of one array are stacked,
-    each holding only that array (only its own expert's slice for ``experts.*``, with
-    every expert in the one stack), and rerun only the part it feeds, routed from
-    their own scores: the gate for ``gate.weight``, the copy's routed expert for
-    ``experts.*``, the shared expert for ``shared.*``, and all of them for x. The
-    other parts broadcast from theta's run. Every expert is mixed in, in ascending
-    order, by its gate weight, zero if unselected, as in ``moe_batch_forward``.
+    The passes are described in the module docstring. Every copy, routed from its
+    own scores, mixes in every expert in ascending order by its gate weight, zero if
+    unselected, as in ``moe_batch_forward``, so each total has the dense forward's bits.
     """
     p = layout.views(theta)
-    x, experts = p["x"], p["gate.weight"].shape[0]
-    routed = [name for name, _, _ in layout.entries if name.startswith("experts.")]
-    shared = [name for name, _, _ in layout.entries if name.startswith("shared.")]
-    gate = _gate_terms(p["gate.weight"], x, top_k, normalized)
-    out = _swiglu_out(x, *(p[name] for name in routed))  # (experts, n, model_dim)
-    shared_out = _swiglu_out(x, *(p[name] for name in shared)) if shared else None
+    moves = {name: moved[:, off:off + math.prod(shape)] for name, off, shape in layout.entries}
+    x, gate = p["x"], p["gate.weight"]
+    experts = gate.shape[0]
+    routed, shared = ([name for name, _, _ in layout.entries if name.startswith(part)]
+                      for part in ("experts.", "shared."))
 
-    def routed_y(lead: tuple[int, ...], gate_weights: np.ndarray,
-                 outs: Callable[[int], np.ndarray]) -> np.ndarray:
-        """y before the shared expert of copies on leading axes ``lead``, with
-        expert i's output outs(i)."""
-        y = np.zeros((*lead, *x.shape))
-        for i in range(experts):
-            y += gate_weights[..., i, None] * outs(i)
-        return y
-
-    def total(y: np.ndarray, balance: np.ndarray, shared_y: np.ndarray | None) -> np.ndarray:
-        if shared_y is not None:
-            y += shared_y
+    def total(y: np.ndarray, balance: np.ndarray) -> np.ndarray:
         return (probe * y).sum(axis=(-2, -1)) + lam * balance
 
-    theta_y = routed_y((), gate[0], out.__getitem__)  # what the shared.* copies add to
+    # rows: theta's x and the x copies under theta's gate.weight, then the
+    # gate.weight copies under theta's x; row 0 is theta's
+    xs = np.concatenate([x[None], _copies(x, moves["x"], 0).reshape(-1, *x.shape)])
+    gates = _copies(gate, moves["gate.weight"], 0).reshape(-1, *gate.shape)
+    gate_weights, balance = _gate_terms(
+        np.concatenate([np.broadcast_to(gate, (len(xs), *gate.shape)), gates]),
+        np.concatenate([xs, np.broadcast_to(x, (len(gates), *x.shape))]), top_k, normalized)
+    # expert-major, (experts, rows, n, .): with at least two rows the expert axis is never
+    # innermost, so each reduce adds the experts in ascending order, not pairwise
+    mix = np.ascontiguousarray(gate_weights.transpose(2, 0, 1))[..., None]
+    silu, up, hidden, out = _swiglu_parts(xs, *(p[k][:, None] for k in routed))
+    y = np.concatenate([np.add.reduce(mix[:, :len(xs)] * out, axis=0, initial=0.0),
+                        np.add.reduce(mix[:, len(xs):] * out[:, :1], axis=0, initial=0.0)])
+    if shared:
+        shared_silu, shared_up, shared_hidden, shared_out = _swiglu_parts(
+            xs, *(p[k] for k in shared))
+        y[:len(xs)] += shared_out
+        y[len(xs):] += shared_out[0]
+    rows = total(y, balance)
+    totals = [rows[len(xs):].reshape(2, -1)]  # gate.weight
 
-    def totals(name: str, moved: np.ndarray) -> np.ndarray:
-        if name == "x":
-            xs = _copies(x, moved, 0)  # (2, size, n, model_dim)
-            gate_weights, balance = _gate_terms(p["gate.weight"], xs, top_k, normalized)
-            rerun = _swiglu_out(xs[:, :, None], *(p[k] for k in routed))
-            return total(routed_y(moved.shape, gate_weights, lambda i: rerun[:, :, i]), balance,
-                         _swiglu_out(xs, *(p[k] for k in shared)) if shared else None)
-        if name == "gate.weight":
-            gate_weights, balance = _gate_terms(_copies(p[name], moved, 0), x, top_k,
-                                                normalized)
-            return total(routed_y(moved.shape, gate_weights, out.__getitem__), balance,
-                         shared_out)
-        if name in routed:  # (2, experts, size of one expert's slice, n, model_dim)
-            rerun = _swiglu_out(x, *(_copies(p[k], moved, 1) if k == name else p[k][:, None]
-                                     for k in routed))
-            own = np.arange(experts)[:, None, None, None]
-            y = routed_y(rerun.shape[:3], gate[0], lambda i: np.where(own == i, rerun, out[i]))
-            return total(y, gate[1], shared_out).reshape(moved.shape)
-        shared_y = _swiglu_out(x, *(_copies(p[k], moved, 0) if k == name else p[k]
-                                    for k in shared))
-        return total(theta_y + shared_y, gate[1], None)
-
-    # one array's copies at a time, each stack freed before the next is built
-    return np.concatenate([totals(name, moved[:, off:off + math.prod(shape)])
-                           for name, off, shape in layout.entries], axis=1)
+    # experts.* copies of expert e: prefix[e], their own term, then theta's later terms
+    weighted = mix[:, 0] * out[:, 0]
+    prefix = np.add.accumulate(np.concatenate([np.zeros((1, *x.shape)), weighted]))
+    y = prefix[:experts, None] + mix[:, :1] * _weight_reruns(
+        x, [p[k] for k in routed], (silu[:, 0], up[:, 0], hidden[:, 0]),
+        [moves[k] for k in routed], 1)
+    for i in range(1, experts):
+        y[:, :, :i] += weighted[i]
+    if shared:
+        y += shared_out[0]
+    totals.append(total(y, balance[0]).reshape(2, -1))
+    if shared:  # shared.* copies: theta's whole routed mix, then their own output
+        y = prefix[experts] + _weight_reruns(
+            x, [p[k] for k in shared], (shared_silu[0], shared_up[0], shared_hidden[0]),
+            [moves[k] for k in shared], 0)
+        totals.append(total(y, balance[0]).reshape(2, -1))
+    totals.append(rows[1:len(xs)].reshape(2, -1))  # x
+    return np.concatenate(totals, axis=1)
 
 
 def grad_check(settings: GradCheckSettings) -> GradCheckReport:
@@ -673,10 +698,11 @@ def grad_check(settings: GradCheckSettings) -> GradCheckReport:
     the forward that accepted the draw. Every parameter entry and every input
     entry is perturbed: theta is the block's flat parameters followed by x,
     and the 2P copies theta +- h e_j are evaluated forward only by
-    ``_fd_totals``, one array's copies at a time. Each copy reruns only the
-    gate, routed expert or shared expert its entry feeds (all of them for an
-    entry of x), routed from its own scores, and takes the rest from theta's
-    run. Memory grows with the shape: the stack of an ``experts.*`` array takes
+    ``_fd_totals``: one gate pass over theta, the x copies and the gate copies,
+    one routed and one shared pass over x and its copies, and for each weight
+    array a rerun of only the product it enters, from theta's intermediates.
+    Every copy is routed from its own scores. Memory grows with the shape, one
+    array's stack of copies at a time: an ``experts.*`` array's takes
     16 * experts * (expert_dim * model_dim)**2 bytes, 2.1 GB at 8 experts and
     model_dim = expert_dim = 64, and a ``shared.*`` one 16 * (shared_dim *
     model_dim)**2.

@@ -58,11 +58,13 @@ GRAD_CHECK = [["grad-check", "--E", "4", "--D_m", "5", "--D_e", "3", "--K", str(
                "--seed", str(100 + index), "--trials", "3"]
               for index, (top_k, normalized, shared) in enumerate(_CRITERION_3)]
 GRAD_CHECK += [["grad-check"], ["grad-check", "--csv"],
-               # a large shape, one expert, and Top-K over every expert
+               # a large shape, one expert, Top-K over every expert, and nine experts
                ["grad-check", "--E", "8", "--D_m", "32", "--D_e", "16", "--D_se", "32",
                 "--trials", "1"],
                ["grad-check", "--E", "1", "--K", "1", "--D_m", "3", "--D_e", "2", "--trials", "3"],
                ["grad-check", "--E", "3", "--K", "3", "--normalized", "--D_m", "2", "--D_e", "1",
+                "--D_se", "2", "--trials", "3"],
+               ["grad-check", "--E", "9", "--K", "3", "--normalized", "--D_m", "3", "--D_e", "2",
                 "--D_se", "2", "--trials", "3"]]
 # a short run of the criterion-7 defaults, whose --out files are pinned too; build()
 # writes its config

@@ -235,6 +235,10 @@ class TestCheckBounds:
          "batch_sequences must be >= 1, got 0"),
         (lambda: dataclasses.replace(DENSE_7B, layers=0, heads=0), "layers must be >= 1, got 0"),
         (lambda: ToyTrainConfig(lam=math.inf), "lam must be finite, got inf"),
+        pytest.param(lambda: GradCheckSettings(tolerance=math.inf),
+                     "tolerance must be finite, got inf", id="GradCheckSettings-tolerance-inf"),
+        pytest.param(lambda: GradCheckSettings(lam=math.inf), "lam must be finite, got inf",
+                     id="GradCheckSettings-lam-inf"),
         (lambda: SearchSpec(target_params=10**9, target_activation_rate=0.001, seq_len=0),
          "seq_len must be >= 1, got 0"),
     ])

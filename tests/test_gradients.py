@@ -203,11 +203,14 @@ def dense_totals(thetas, layout, probe, lam, top_k, normalized):
 
 
 # (experts, top_k, normalized, model_dim, expert_dim, shared_dim, tokens): criterion 3's
-# variants, then one expert, Top-K over every expert, and shapes without a shared expert
+# variants, then one expert, Top-K over every expert, shapes without a shared expert, and
+# 8 or more experts, where a pairwise sum over the expert axis would change the bits (the
+# last with one token of one entry, where nothing but the expert axis is left per row)
 EXACT_SHAPES = [(4, top_k, normalized, 5, 3, shared, 2)
                 for top_k, normalized, shared in CRITERION_3_VARIANTS] + [
     (1, 1, False, 3, 2, 0, 3), (1, 1, False, 1, 1, 2, 1), (3, 3, True, 2, 1, 2, 2),
-    (5, 5, False, 4, 2, 0, 4), (6, 2, True, 3, 4, 0, 1), (2, 1, False, 1, 3, 1, 3)]
+    (5, 5, False, 4, 2, 0, 4), (6, 2, True, 3, 4, 0, 1), (2, 1, False, 1, 3, 1, 3),
+    (8, 3, True, 3, 2, 2, 2), (9, 2, False, 2, 1, 0, 3), (8, 8, False, 1, 1, 0, 1)]
 
 
 @pytest.mark.parametrize("shape", EXACT_SHAPES)

@@ -14,6 +14,7 @@ from moebudget.kernel import (
     KernelError,
     Workspace,
     _sigmoid,
+    _top_k_mask,
     balance_stats,
     init_block_params,
     moe_batch_backward,
@@ -67,6 +68,20 @@ class TestGateForward:
         out = route_one([0.5, 0.5, 0.5, 0.5, 0.5], top_k=3)
         assert selected(out) == (0, 1, 2)
         assert np.allclose(out.scores[0], 0.2)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (2, 3, 2, 6)])
+    def test_stacked_ties_break_to_lowest_index(self, shape):
+        # few distinct values, so most rows tie; each row is checked against its own ranking
+        rng = np.random.default_rng(len(shape))
+        scores = rng.integers(0, 3, size=shape) / 4.0
+        experts = shape[-1]
+        for top_k in range(1, experts + 1):
+            mask = _top_k_mask(scores, top_k)
+            assert mask.shape == scores.shape
+            for index in np.ndindex(shape[:-1]):
+                s = scores[index].tolist()
+                chosen = sorted(range(experts), key=lambda i: (-s[i], i))[:top_k]
+                assert np.flatnonzero(mask[index]).tolist() == sorted(chosen)
 
     def test_k_out_of_range(self):
         with pytest.raises(KernelError, match="top_k"):
