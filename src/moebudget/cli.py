@@ -225,7 +225,6 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
         fixed=args.fixed.upper(), value=args.value, shapes=shapes, hparam_fits=fits,
         row_hparams=row_hparams or None,
         reuse_scheme=args.reuse, unique_tokens=args.unique_tokens)
-    plan.validate()
     return CommandResult(EXIT_OK, _payload(args, plan.to_json_dict(),
                                            lambda: planner.sweep_to_csv_rows(plan)))
 
@@ -382,6 +381,8 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
         return CommandResult(EXIT_VALIDATION, "", str(exc))
     except MemoryError as exc:  # an array too large for the machine
         return CommandResult(EXIT_VALIDATION, "", f"out of memory: {exc}")
+    except OverflowError as exc:  # a count too large for a float
+        return CommandResult(EXIT_VALIDATION, "", f"out of range: {exc}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

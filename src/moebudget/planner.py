@@ -36,19 +36,19 @@ BATCH_MULTIPLE = 8
 FIXED_COMPUTE_BAND = 0.03
 
 
-def tokens_for_compute(train_compute: float, fwd_flops_per_token: float) -> int:
+def tokens_for_compute(train_compute: int, fwd_flops_per_token: int) -> int:
     """Token budget that exhausts a training-compute budget: floor(C / (3 M_fwd)).
 
-    Exact when both arguments are integers; float division would lose the
-    low bits of large counts and can return D - 1 for C = 3 M_fwd D.
+    Both counts are exact: an int, or a float naming one. Float division would
+    lose the low bits of large counts and can return D - 1 for C = 3 M_fwd D.
     """
-    if fwd_flops_per_token <= 0:
-        raise PlannerError(f"fwd_flops_per_token must be > 0, got {fwd_flops_per_token}")
-    if train_compute < 0:
-        raise PlannerError(f"train_compute must be >= 0, got {train_compute}")
-    if isinstance(train_compute, int) and isinstance(fwd_flops_per_token, int):
-        return train_compute // (3 * fwd_flops_per_token)
-    return int(train_compute / (3.0 * fwd_flops_per_token))
+    fwd = json_value("fwd_flops_per_token", fwd_flops_per_token, "int", PlannerError)
+    if fwd <= 0:
+        raise PlannerError(f"fwd_flops_per_token must be > 0, got {fwd}")
+    compute = json_value("train_compute", train_compute, "int", PlannerError)
+    if compute < 0:
+        raise PlannerError(f"train_compute must be >= 0, got {compute}")
+    return compute // (3 * fwd)
 
 
 def iterations(tokens: int, batch_sequences: int, seq_len: int) -> int:
@@ -321,22 +321,12 @@ class SweepPlan:
         }
 
     def validate(self) -> None:
-        """Check the fixed-budget band and the iteration identity on every row."""
-        if self.fixed == "C":
-            values = [r.budget.train_compute for r in self.rows]
-            if values and max(values) > min(values) * (1 + FIXED_COMPUTE_BAND):
-                raise PlannerError(
-                    f"fixed-compute sweep varies by more than "
-                    f"{FIXED_COMPUTE_BAND:.0%}: {min(values):.3g}..{max(values):.3g}")
-        else:
-            tokens = {r.budget.tokens for r in self.rows}
-            if len(tokens) > 1:
-                raise PlannerError(f"fixed-data sweep has varying token budgets: {tokens}")
-        for row in self.rows:
-            expected = iterations(row.budget.tokens, row.batch_sequences, row.shape.seq_len)
-            if row.iterations != expected:
-                raise PlannerError(
-                    f"row iterations {row.iterations} != round(D/(B*S)) = {expected}")
+        """Check that a fixed-compute sweep's rows spend within FIXED_COMPUTE_BAND."""
+        values = [r.budget.train_compute for r in self.rows]
+        if self.fixed == "C" and values and max(values) > min(values) * (1 + FIXED_COMPUTE_BAND):
+            raise PlannerError(
+                f"fixed-compute sweep varies by more than "
+                f"{FIXED_COMPUTE_BAND:.0%}: {min(values):.3g}..{max(values):.3g}")
 
 
 def build_sweep(fixed: str, value: int | float,
@@ -350,13 +340,14 @@ def build_sweep(fixed: str, value: int | float,
     ``value`` is an exact count of FLOPs or tokens: an int, or a float naming
     one. A shape that the compute buys no whole token of is a PlannerError.
 
-    Learning rate and batch size come either from ``row_hparams`` (one
-    (eta, B) pair per shape) or from ``hparam_fits`` (an (eta_fit, batch_fit)
+    Learning rate and batch size come from exactly one of ``row_hparams`` (one
+    (eta, B) pair per shape) or ``hparam_fits`` (an (eta_fit, batch_fit)
     pair of power laws, each evaluated at the row's token budget and at the
     ``table_columns`` count it was fitted on, N or N_a; predicted batch sizes
     snap to multiples of 8). A row too small for one optimizer step
     is a PlannerError. Rows are sorted by activation rate. An optional reuse
-    scheme, read by ``reuse_plan``, fills the epochs column.
+    scheme, read by ``reuse_plan``, fills the epochs column. The plan is
+    returned only once ``SweepPlan.validate`` holds.
     """
     if fixed not in ("C", "D"):
         raise PlannerError(f'fixed must be "C" or "D", got {fixed!r}')
@@ -365,8 +356,8 @@ def build_sweep(fixed: str, value: int | float,
         raise PlannerError(f"fixed value must be > 0, got {value}")
     if row_hparams is not None and len(row_hparams) != len(shapes):
         raise PlannerError("row_hparams must supply one (eta, B) pair per shape")
-    if row_hparams is None and hparam_fits is None:
-        raise PlannerError("supply either row_hparams or hparam_fits")
+    if (row_hparams is None) == (hparam_fits is None):
+        raise PlannerError("supply exactly one of row_hparams or hparam_fits")
 
     rows: list[SweepRow] = []
     for i, shape in enumerate(shapes):
@@ -395,7 +386,9 @@ def build_sweep(fixed: str, value: int | float,
                              iterations=iters, warmup_iters=warmup_iters(iters),
                              epochs=epochs, unique_tokens=unique))
     rows.sort(key=lambda r: (r.budget.activation_rate, r.budget.total_params))
-    return SweepPlan(fixed=fixed, fixed_value=value, rows=tuple(rows))
+    plan = SweepPlan(fixed=fixed, fixed_value=value, rows=tuple(rows))
+    plan.validate()
+    return plan
 
 
 def sweep_to_csv_rows(plan: SweepPlan) -> tuple[list[str], list[list[Any]]]:

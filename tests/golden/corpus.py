@@ -294,16 +294,20 @@ def python_version() -> str:
     return "{}.{}".format(*sys.version_info)
 
 
-def numpy_build() -> dict[str, str | None]:
-    """The numpy version, the BLAS it was built with and the core that BLAS runs on,
-    which the bits of ``NUMPY_ARGVS`` follow.
+def numpy_build() -> dict[str, Any]:
+    """The numpy version, the BLAS it was built with, the core that BLAS runs on and
+    the SIMD extensions numpy's own loops dispatch to, which the bits of
+    ``NUMPY_ARGVS`` follow.
 
     OpenBLAS picks its kernels for the CPU at run time (``OPENBLAS_CORETYPE``
     overrides the choice), so the core is read from the loaded library; it is
     None where numpy ships no scipy-openblas or the library lacks the symbol.
+    numpy picks its ufunc loops at run time too, apart from OpenBLAS
+    (``NPY_DISABLE_CPU_FEATURES`` turns extensions off).
     """
     import numpy as np
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     core = None
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
@@ -313,7 +317,7 @@ def numpy_build() -> dict[str, str | None]:
             core = corename().decode()
             break
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "core": core}
+            "core": core, "simd": config["SIMD Extensions"]["found"]}
 
 
 def write_digests(results: list[dict[str, Any]]) -> None:

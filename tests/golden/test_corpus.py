@@ -37,14 +37,15 @@ def test_every_argv_keeps_its_record(results):
 
 
 def test_every_grad_check_payload_keeps_its_record(results):
-    # the grad-check and train-toy payloads' last bits follow numpy's BLAS and the core
-    # it runs on, so they are pinned for one build and core
+    # the grad-check and train-toy payloads' last bits follow numpy's BLAS, the core it
+    # runs on and numpy's SIMD dispatch, so they are pinned for one build, core and dispatch
     pinned = json.loads(corpus.DIGESTS.read_text())
     build = corpus.numpy_build()
     assert pinned["numpy"] == build, (
         f"the numpy records of {corpus.DIGESTS.name} were written with {pinned['numpy']} "
         f"and this is {build}; compare them on the recorded build, or on another x86 "
-        f"machine set OPENBLAS_CORETYPE to the recorded core")
+        f"machine set OPENBLAS_CORETYPE to the recorded core and NPY_DISABLE_CPU_FEATURES "
+        f"to turn off the SIMD extensions the record lacks")
     differ = differing(pinned["numpy_records"],
                        [r for r in results if r["argv"] in corpus.NUMPY_ARGVS])
     assert not differ, (

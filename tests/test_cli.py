@@ -368,7 +368,8 @@ class TestStrictInput:
     }
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-1", "1.5", "1e400", "",
-                                       "abc", str(2**70 + 1)])
+                                       "abc", str(2**70 + 1),
+                                       pytest.param(str(10**400), id="10**400")])
     @pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS))
     def test_count_and_real_flags(self, tmp_path, moe_shape_file, flag, token):
         sweep = tmp_path / "shapes.json"
@@ -502,6 +503,19 @@ class TestPlanningCommandsContract:
                            str(shapes), "--hparams-from", "moe_7b_fixed_compute"])
         assert result == CommandResult(1, "", "--hparams-from refits eta and B, so the "
                                               "shapes file entries must not give them")
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(MOE_7B_SHAPE, id="bare-shape"),
+        pytest.param({"shape": MOE_7B_SHAPE, "eta": 1e-3}, id="eta-without-B"),
+    ])
+    def test_sweep_without_an_hparam_source_rejected(self, tmp_path, entry):
+        shapes = tmp_path / "shapes.json"
+        shapes.write_text(json.dumps([entry]))
+        result = dispatch(["sweep", "--fixed", "c", "--value", "2.86e21", "--shapes-file",
+                           str(shapes)])
+        assert result == CommandResult(1, "", "no eta/B source: give per-entry eta and B in "
+                                              "the shapes file or --hparams-from <fixture "
+                                              "table>")
 
     def test_ra_filter_needs_an_r_a_column(self):
         result = dispatch(["fit-hparams", "--from-fixture", "dense_baselines",

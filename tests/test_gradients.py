@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebudget import kernel
 from moebudget.kernel import (
@@ -213,10 +215,9 @@ EXACT_SHAPES = [(4, top_k, normalized, 5, 3, shared, 2)
     (8, 3, True, 3, 2, 2, 2), (9, 2, False, 2, 1, 0, 3), (8, 8, False, 1, 1, 0, 1)]
 
 
-@pytest.mark.parametrize("shape", EXACT_SHAPES)
-def test_stacked_totals_equal_the_dense_reference(shape):
+def assert_totals_equal_the_dense_reference(shape, seed):
     experts, top_k, normalized, model_dim, expert_dim, shared_dim, tokens = shape
-    rng = np.random.default_rng(list(shape))
+    rng = np.random.default_rng(seed)
     params = init_block_params(rng, experts, top_k, model_dim, expert_dim, shared_dim,
                                normalized)
     x = rng.normal(size=(tokens, model_dim))
@@ -230,6 +231,27 @@ def test_stacked_totals_equal_the_dense_reference(shape):
     dense = dense_totals(copies.reshape(2 * size, size), layout, probe, 0.01, top_k,
                          normalized)
     assert np.array_equal(totals, dense.reshape(2, size))
+
+
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+def test_stacked_totals_equal_the_dense_reference(shape):
+    assert_totals_equal_the_dense_reference(shape, list(shape))
+
+
+@st.composite
+def block_shapes(draw):
+    """(experts, top_k, normalized, model_dim, expert_dim, shared_dim, tokens)."""
+    normalized = draw(st.booleans())  # needs top_k >= 2
+    experts = draw(st.integers(1 + normalized, 16))
+    return (experts, draw(st.integers(1 + normalized, experts)), normalized,
+            draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+            draw(st.integers(1, 3)))
+
+
+@given(block_shapes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_stacked_totals_equal_the_dense_reference_on_drawn_shapes(shape, seed):
+    assert_totals_equal_the_dense_reference(shape, seed)
 
 
 def test_grad_check_holds_one_stack_of_copies_at_a_time():

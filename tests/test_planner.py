@@ -35,13 +35,22 @@ def rel(a, b):
 
 class TestTokensForCompute:
     def test_seven_b_reference_row(self):
-        assert rel(tokens_for_compute(2.86e21, 9.07e9 / 3), 3.16e11) <= 0.01
+        assert rel(tokens_for_compute(2.86e21, 3_023_333_333), 3.16e11) <= 0.01
 
     def test_zero_compute(self):
         assert tokens_for_compute(0.0, 1e9) == 0
 
     def test_two_b_reference_row(self):
-        assert rel(tokens_for_compute(9.38e20, 3.13e9 / 3), 2.99e11) <= 0.01
+        assert rel(tokens_for_compute(9.38e20, 1_043_333_333), 2.99e11) <= 0.01
+
+    @pytest.mark.parametrize("compute,fwd_flops,message", [
+        (2.86e21, 9.07e9 / 3, "fwd_flops_per_token must be int, got 3023333333.3333335"),
+        (2.5, 1, "train_compute must be int, got 2.5"),
+        (math.inf, 1, "train_compute must be int, got inf"),
+    ])
+    def test_inexact_counts_rejected(self, compute, fwd_flops, message):
+        with pytest.raises(PlannerError, match=message):
+            tokens_for_compute(compute, fwd_flops)
 
     def test_nonpositive_flops_rejected(self):
         with pytest.raises(PlannerError, match="fwd_flops"):
@@ -242,6 +251,22 @@ class TestBuildSweep:
         _, shapes = moe_7b_shapes()
         with pytest.raises(PlannerError, match="row_hparams or hparam_fits"):
             build_sweep("C", 2.86e21, shapes)
+
+    def test_both_hparam_sources_rejected(self):
+        table, shapes = moe_7b_shapes()
+        fits = (fit_hparam_power_law(table.fit_points("eta")),
+                fit_hparam_power_law(table.fit_points("B")))
+        hparams = [(row["eta"], row["B"]) for row in table.rows]
+        with pytest.raises(PlannerError, match="row_hparams or hparam_fits"):
+            build_sweep("C", 2.86e21, shapes, hparam_fits=fits, row_hparams=hparams)
+
+    def test_fixed_compute_band_enforced(self):
+        # compute 143 buys 2 tokens at 54 training FLOPs each and 1 token at 72, so the
+        # two rows spend 108 and 72 FLOPs
+        a, b = (DenseShape(layers=1, model_dim=1, ffn_dim=ffn, heads=1, head_dim=1,
+                           seq_len=1) for ffn in (1, 2))
+        with pytest.raises(PlannerError, match="fixed-compute sweep varies by more than 3%"):
+            build_sweep("C", 143, [a, b], row_hparams=[(1e-3, 1)] * 2)
 
     def test_strict_reuse_epochs_match_published(self):
         table = load_table("moe_7b_strict_reuse")
