@@ -10,12 +10,14 @@ are computed in exact (arbitrary-width) integer arithmetic; ratios are floats.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
 import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ShapeError
 
@@ -27,20 +29,35 @@ def _require(cond: bool, message: str) -> None:
         raise ShapeError(message)
 
 
-def check_bounds(obj: Any, error: type[Exception], **lowest: float) -> None:
-    """Raise ``error`` for the first field of ``obj``, in argument order, that is not
-    ``>=`` its bound in ``lowest``; a NaN is never ``>=``, so it fails too."""
-    for name, low in lowest.items():
-        value = getattr(obj, name)
-        if not value >= low:
-            raise error(f"{name} must be >= {low}, got {value}")
+@functools.lru_cache
+def _clauses(bound: str) -> tuple[tuple[Callable[[Any, Any], bool], Any], ...]:
+    """``(compare, number)`` per side of each clause of ``bound``, rewritten as ``op x``."""
+    sides = (bound.replace("finite", "> -inf and < inf").replace("in (", "> ")
+             .replace("in [", ">= ").replace(", ", " and <= ").replace("]", "").split(" and "))
+    ops = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+    return tuple((ops[op], int(x) if x.lstrip("-").isdigit() else float(x))  # ints stay exact
+                 for op, x in (side.split(" ") for side in sides))
+
+
+def check_bounds(values: Any, error: type[Exception], **bounds: str) -> None:
+    """Raise ``error(f"{name} must be {bound}, got {value}")`` for the first field of
+    ``values`` (item, if it is a dict), in argument order, outside its bound.
+
+    A bound is clauses joined by ``" and "``: ``">= x"``, ``"> x"``, ``"finite"``,
+    ``"in (a, b]"`` or ``"in [a, b]"``. Each clause is tested by comparison, so a NaN
+    fails every clause and an int too large for a float is compared exactly.
+    """
+    for name, bound in bounds.items():
+        value = values[name] if isinstance(values, dict) else getattr(values, name)
+        for compare, number in _clauses(bound):
+            if not compare(value, number):
+                raise error(f"{name} must be {bound}, got {value}")
 
 
 def check_routing(experts: int, top_k: int, normalized: bool,
                   error: type[Exception] = ShapeError) -> None:
     """Raise ``error`` unless 1 <= top_k <= experts, and top_k >= 2 when normalized."""
-    if not 1 <= top_k <= experts:
-        raise error(f"top_k must be in [1, {experts}], got {top_k}")
+    check_bounds({"top_k": top_k}, error, top_k=f"in [1, {experts}]")
     # Renormalizing a single selected score gives the constant 1, which carries no gradient.
     if normalized and top_k < 2:
         raise error("normalized gating requires top_k >= 2")
@@ -58,8 +75,8 @@ class DenseShape:
     seq_len: int = 2048
 
     def __post_init__(self) -> None:
-        check_bounds(self, ShapeError, layers=1, model_dim=1, ffn_dim=1, seq_len=1,
-                     heads=1, head_dim=1)
+        check_bounds(self, ShapeError, layers=">= 1", model_dim=">= 1", ffn_dim=">= 1",
+                     seq_len=">= 1", heads=">= 1", head_dim=">= 1")
         _require(self.heads * self.head_dim == self.model_dim,
                  f"heads * head_dim must equal model_dim: "
                  f"{self.heads} * {self.head_dim} != {self.model_dim}")
@@ -90,14 +107,14 @@ class MoEShape:
     gate_normalized: bool = False
 
     def __post_init__(self) -> None:
-        check_bounds(self, ShapeError, moe_layers=1)
+        check_bounds(self, ShapeError, moe_layers=">= 1")
         split = layer_split(self.base.layers, self.arrangement)
         _require((self.moe_layers, self.dense_layers) == split,
                  f"moe_layers + dense_layers must equal layers as {self.arrangement} splits "
                  f"them: {self.moe_layers} + {self.dense_layers} != {split[0]} + {split[1]}")
-        check_bounds(self, ShapeError, experts=1)
+        check_bounds(self, ShapeError, experts=">= 1")
         check_routing(self.experts, self.top_k, self.gate_normalized)
-        check_bounds(self, ShapeError, expert_dim=1, shared_expert_dim=0)
+        check_bounds(self, ShapeError, expert_dim=">= 1", shared_expert_dim=">= 0")
 
     @property
     def model_dim(self) -> int:
@@ -159,8 +176,7 @@ def training_compute(fwd_flops_per_token: int, tokens: int) -> int:
     """Training FLOPs for a token budget: 3 forward passes per token, on exact counts."""
     fwd = json_value("fwd_flops_per_token", fwd_flops_per_token, "int", ShapeError)
     tokens = json_value("tokens", tokens, "int", ShapeError)
-    if tokens < 0:
-        raise ShapeError(f"tokens must be >= 0, got {tokens}")
+    check_bounds({"tokens": tokens}, ShapeError, tokens=">= 0")
     return 3 * fwd * tokens
 
 
@@ -235,16 +251,19 @@ def derive_budget(shape: DenseShape | MoEShape, tokens: int = 0) -> DerivedBudge
     else:
         raise ShapeError(f"unsupported shape type {type(shape).__name__}")
     tokens = json_value("tokens", tokens, "int", ShapeError)
-    return DerivedBudget(
-        total_params=total,
-        active_params=active,
-        activation_rate=active / total,
-        fwd_flops_per_token=fwd,
-        train_flops_per_token=3 * fwd,
-        train_compute=training_compute(fwd, tokens),
-        tokens=tokens,
-        tokens_per_param=tokens / total,
-    )
+    try:
+        return DerivedBudget(
+            total_params=total,
+            active_params=active,
+            activation_rate=active / total,
+            fwd_flops_per_token=fwd,
+            train_flops_per_token=3 * fwd,
+            train_compute=training_compute(fwd, tokens),
+            tokens=tokens,
+            tokens_per_param=tokens / total,
+        )
+    except OverflowError:  # tokens / total, the one ratio that can pass the float range
+        raise ShapeError(f"tokens is too large for a float, got {reprlib.repr(tokens)}") from None
 
 
 # (JSON key, dataclass field) tables shared by shape_to_json and shape_from_json

@@ -91,8 +91,7 @@ def _count(text: str) -> int:
         if not _real(text).is_integer():
             raise argparse.ArgumentTypeError(f"count must be an integer, got {text}") from None
         value = int(float(text))
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"count must be >= 0, got {text}")
+    arch.check_bounds({"count": value}, argparse.ArgumentTypeError, count=">= 0")
     return value
 
 

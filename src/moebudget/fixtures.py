@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, derive_budget, json_value,
-                   read_json_file, shape_from_json, table_columns)
+from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, check_bounds, derive_budget,
+                   json_value, read_json_file, shape_from_json, table_columns)
 from .errors import FixtureError
 from .planner import iterations
 
@@ -53,21 +53,26 @@ def fixtures_dir(override: str | os.PathLike | None = None) -> Path:
 
 
 class FixtureRow(dict):
-    """One parsed CSV row; reading a column it lacks is a FixtureError naming it."""
+    """Row ``index`` of a parsed table; reading a column it lacks is a FixtureError."""
 
-    def __init__(self, table: str, values: dict[str, float]) -> None:
+    def __init__(self, table: str, index: int, values: dict[str, float]) -> None:
         super().__init__(values)
         self.table = table
+        self.label = f"{table} row {index}"
 
     def __missing__(self, column: str) -> float:
         raise FixtureError(f"fixture table {self.table!r} has no column {column!r}")
+
+    def count(self, column: str) -> int:
+        """A count column's value, exactly: a fractional one is a FixtureError."""
+        return json_value(f"{self.label}: {column}", self[column], "int", FixtureError)
 
 
 @dataclass(frozen=True)
 class FixtureTable:
     name: str
     kind: str                     # "moe" or "dense"
-    rows: tuple[dict[str, float], ...]
+    rows: tuple[FixtureRow, ...]
     meta: dict[str, Any]
 
     @property
@@ -79,19 +84,19 @@ class FixtureTable:
         obj = {key: self.meta[name] for key, name in DENSE_KEYS + MOE_KEYS
                if name in self.meta}
         if self.kind == "dense":
-            if not row["H"] >= 1:
-                raise FixtureError(f"{self.name}: H must be >= 1, got {row['H']}")
+            label = f"{self.name}: H"
+            check_bounds({label: row["H"]}, FixtureError, **{label: ">= 1"})
             obj.update(L=row["L"], D_m=row["D_m"], D_ffn=row["D_ffn"], H=row["H"],
                        D_h=row["D_m"] // row["H"])
         else:
             obj.update(E=row["E"], K=row["K"], D_e=row["D_e"], D_se=row["D_se"])
         return shape_from_json(obj)
 
-    def row_tokens(self, row: dict[str, float]) -> int:
+    def row_tokens(self, row: FixtureRow) -> int:
         """Consumed token count of a row; loose-reuse tables store unique tokens."""
         if self.reuse_scheme == "loose":
-            return 2 * int(row["D_hat"])
-        return int(row["D"])
+            return 2 * row.count("D_hat")
+        return row.count("D")
 
     def fit_points(self, column: str, n_column: str = "N",
                    ra: float | None = None) -> list[tuple[float, float, float]]:
@@ -173,7 +178,7 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
             if not math.isfinite(parsed[key]):
                 raise FixtureError(
                     f"{csv_path}:{line_no}: non-finite value {value!r} in column {key}")
-        rows.append(FixtureRow(name, parsed))
+        rows.append(FixtureRow(name, len(rows), parsed))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")
     table = FixtureTable(name=name, kind=meta["kind"], rows=tuple(rows), meta=meta)
@@ -244,8 +249,7 @@ def _meta_count(table: FixtureTable, key: str) -> float:
     # json accepts an Infinity literal, and inf would reach residuals and fits as NaN
     label = f"index entry {table.name!r}: {key}"
     value = json_value(label, table.meta[key], "float", FixtureError)
-    if not 0 < value < math.inf:
-        raise FixtureError(f"{label} must be > 0 and finite, got {value}")
+    check_bounds({label: value}, FixtureError, **{label: "> 0 and finite"})
     return value
 
 
@@ -280,7 +284,7 @@ def validate_table(table: FixtureTable) -> ValidationReport:
         for name in ("M", "C", "D/N"):
             check(idx, name, row[name], columns[name], REL_TOL)
 
-        check(idx, "Iters", row["Iters"], iterations(tokens, int(row["B"]), shape.seq_len),
+        check(idx, "Iters", row["Iters"], iterations(tokens, row.count("B"), shape.seq_len),
               ITERS_REL_TOL)
 
         if unique is not None:

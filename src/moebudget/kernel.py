@@ -520,13 +520,9 @@ class GradCheckSettings:
     lam: float = 0.01
 
     def __post_init__(self) -> None:
-        check_bounds(self, KernelError, experts=1, model_dim=1, expert_dim=1, shared_dim=0,
-                     seed=0, trials=1, lam=0)
-        if not self.tolerance > 0:
-            raise KernelError(f"tolerance must be > 0, got {self.tolerance}")
-        for name in ("tolerance", "lam"):
-            if not getattr(self, name) < math.inf:
-                raise KernelError(f"{name} must be finite, got {getattr(self, name)}")
+        check_bounds(self, KernelError, experts=">= 1", model_dim=">= 1", expert_dim=">= 1",
+                     shared_dim=">= 0", seed=">= 0", trials=">= 1", lam=">= 0", tolerance="> 0")
+        check_bounds(self, KernelError, tolerance="finite", lam="finite")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Any, Sequence
 
-from .arch import (DenseShape, DerivedBudget, MoEShape, derive_budget, json_value,
-                   shape_to_json, table_columns)
+from .arch import (DenseShape, DerivedBudget, MoEShape, check_bounds, derive_budget,
+                   json_value, shape_to_json, table_columns)
 from .errors import IdentifiabilityError, PlannerError
 
 # Recipe constants shared by every plan; recorded in plan metadata, the
@@ -43,11 +43,9 @@ def tokens_for_compute(train_compute: int, fwd_flops_per_token: int) -> int:
     lose the low bits of large counts and can return D - 1 for C = 3 M_fwd D.
     """
     fwd = json_value("fwd_flops_per_token", fwd_flops_per_token, "int", PlannerError)
-    if fwd <= 0:
-        raise PlannerError(f"fwd_flops_per_token must be > 0, got {fwd}")
+    check_bounds({"fwd_flops_per_token": fwd}, PlannerError, fwd_flops_per_token="> 0")
     compute = json_value("train_compute", train_compute, "int", PlannerError)
-    if compute < 0:
-        raise PlannerError(f"train_compute must be >= 0, got {compute}")
+    check_bounds({"train_compute": compute}, PlannerError, train_compute=">= 0")
     return compute // (3 * fwd)
 
 
@@ -56,8 +54,8 @@ def iterations(tokens: int, batch_sequences: int, seq_len: int) -> int:
 
     Exact for every count: float division would lose the low bits above 2**53.
     """
-    if batch_sequences < 1 or seq_len < 1:
-        raise PlannerError("batch_sequences and seq_len must be >= 1")
+    check_bounds({"batch_sequences": batch_sequences, "seq_len": seq_len}, PlannerError,
+                 batch_sequences=">= 1", seq_len=">= 1")
     per_step = batch_sequences * seq_len
     steps, rest = divmod(tokens, per_step)
     if 2 * rest > per_step or (2 * rest == per_step and steps % 2):
@@ -67,8 +65,7 @@ def iterations(tokens: int, batch_sequences: int, seq_len: int) -> int:
 
 def warmup_iters(total_iters: int) -> int:
     """Warmup steps: 1% of total, clamped to [200, 2000]."""
-    if total_iters < 0:
-        raise PlannerError(f"total_iters must be >= 0, got {total_iters}")
+    check_bounds({"total_iters": total_iters}, PlannerError, total_iters=">= 0")
     return min(WARMUP_MAX, max(WARMUP_MIN, round(0.01 * total_iters)))
 
 
@@ -93,11 +90,12 @@ class ReusePlan:
 
 def strict_reuse(consumed_tokens: int, unique_tokens: int) -> ReusePlan:
     """Epochs = consumed / unique; epochs below 1 are allowed but flagged."""
-    if unique_tokens <= 0:
-        raise PlannerError(f"unique_tokens must be > 0, got {unique_tokens}")
-    if consumed_tokens < 0:
-        raise PlannerError(f"consumed_tokens must be >= 0, got {consumed_tokens}")
-    epochs = consumed_tokens / unique_tokens
+    check_bounds({"unique_tokens": unique_tokens, "consumed_tokens": consumed_tokens},
+                 PlannerError, unique_tokens="> 0", consumed_tokens=">= 0")
+    try:
+        epochs = consumed_tokens / unique_tokens
+    except OverflowError:  # a count past the float range
+        raise PlannerError("consumed_tokens is too large for a float epoch count") from None
     warning = None
     if unique_tokens > consumed_tokens:
         warning = (f"unique subset ({unique_tokens}) exceeds the consumed budget "
@@ -108,8 +106,7 @@ def strict_reuse(consumed_tokens: int, unique_tokens: int) -> ReusePlan:
 
 def loose_reuse(consumed_tokens: int) -> ReusePlan:
     """Exactly two epochs over half the consumed budget."""
-    if consumed_tokens < 0:
-        raise PlannerError(f"consumed_tokens must be >= 0, got {consumed_tokens}")
+    check_bounds({"consumed_tokens": consumed_tokens}, PlannerError, consumed_tokens=">= 0")
     return ReusePlan(scheme="loose", unique_tokens=consumed_tokens // 2,
                      consumed_tokens=consumed_tokens, epochs=2.0)
 
@@ -352,8 +349,7 @@ def build_sweep(fixed: str, value: int | float,
     if fixed not in ("C", "D"):
         raise PlannerError(f'fixed must be "C" or "D", got {fixed!r}')
     value = json_value("value", value, "int", PlannerError)
-    if value <= 0:
-        raise PlannerError(f"fixed value must be > 0, got {value}")
+    check_bounds({"fixed value": value}, PlannerError, **{"fixed value": "> 0"})
     if row_hparams is not None and len(row_hparams) != len(shapes):
         raise PlannerError("row_hparams must supply one (eta, B) pair per shape")
     if (row_hparams is None) == (hparam_fits is None):
@@ -371,8 +367,7 @@ def build_sweep(fixed: str, value: int | float,
         if row_hparams is not None:
             eta = json_value("eta", row_hparams[i][0], "float", PlannerError)
             batch = json_value("B", row_hparams[i][1], "int", PlannerError)
-            if not (0 < eta < math.inf and batch >= 1):
-                raise PlannerError(f"need finite eta > 0 and B >= 1, got {eta!r}, {batch!r}")
+            check_bounds({"eta": eta, "B": batch}, PlannerError, eta="finite and > 0", B=">= 1")
         else:
             columns = table_columns(shape, budget)
             eta, batch = (fit.predict(columns[fit.n_column], tokens) for fit in hparam_fits)

@@ -23,6 +23,7 @@ from .arch import (
     MoEShape,
     check_bounds,
     derive_budget,
+    json_value,
     layer_split,
     shape_to_json,
 )
@@ -43,11 +44,6 @@ def _too_large(layers: int) -> SearchSpecError:
     # the exact-int parameter count overflowed where it met a float ratio
     return SearchSpecError(f"the shape at {layers} layers is too large to compare with "
                            f"target_params; a ratio is too large")
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise SearchSpecError(f"{name} must be > 0, got {value}")
 
 
 def _snap(value: float, multiple: int) -> int:
@@ -75,16 +71,14 @@ class SearchSpec:
     max_candidates: int = 20
 
     def __post_init__(self) -> None:
-        check_bounds(self, SearchSpecError, target_params=1)
-        if not 0.0 < self.target_activation_rate <= 1.0:
-            raise SearchSpecError(
-                f"target_activation_rate must be in (0, 1], got {self.target_activation_rate}")
-        for name in ("aspect_ratio", "expert_width_ratio", "dense_ffn_ratio"):
-            _check_positive(name, getattr(self, name))
+        check_bounds(self, SearchSpecError, target_params=">= 1",
+                     target_activation_rate="in (0, 1]", aspect_ratio="> 0",
+                     expert_width_ratio="> 0", dense_ffn_ratio="> 0")
         if self.arrangement not in ARRANGEMENTS:
             raise SearchSpecError(f"arrangement must be one of {ARRANGEMENTS}")
-        check_bounds(self, SearchSpecError, k_min=1, k_max=self.k_min, head_dim=1,
-                     seq_len=1, expert_dim_multiple=1, max_experts=1, max_candidates=1)
+        check_bounds(self, SearchSpecError, k_min=">= 1", k_max=f">= {self.k_min}",
+                     head_dim=">= 1", seq_len=">= 1", expert_dim_multiple=">= 1",
+                     max_experts=">= 1", max_candidates=">= 1")
 
 
 @dataclass(frozen=True)
@@ -127,6 +121,7 @@ def _layer_grid(spec: SearchSpec) -> list[tuple[int, int, int, int, int]]:
     mu = spec.expert_width_ratio
     grid = []
     min_layers = 2 if spec.arrangement == "one_dense" else 1
+    target = json_value("target_params", spec.target_params, "float", SearchSpecError)
     for layers in range(min_layers, _SEARCH_MAX_LAYERS + 1):
         model_dim = max(spec.head_dim, _snap(spec.aspect_ratio * layers, spec.head_dim))
         ffn_dim = max(16, _snap(alpha * model_dim, 16))
@@ -137,7 +132,7 @@ def _layer_grid(spec: SearchSpec) -> list[tuple[int, int, int, int, int]]:
                 + (4 + 3 * ffn_dim / model_dim) * dense_layers)
         except OverflowError:
             raise _too_large(layers) from None
-        rel = abs(ideal - spec.target_params) / spec.target_params
+        rel = abs(ideal - target) / target
         grid.append((rel, layers, model_dim, ffn_dim, moe_layers, dense_layers))
     grid.sort()
     kept = [entry[1:] for entry in grid if entry[0] <= 0.25]
@@ -233,12 +228,9 @@ def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
     Deterministic: ties in |delta N| break toward fewer layers. Raises
     InfeasibleSpecError when no shape lands within ``_DENSE_TOLERANCE``.
     """
-    if target_params < 1:
-        raise SearchSpecError(f"target_params must be >= 1, got {target_params}")
-    _check_positive("aspect_ratio", aspect_ratio)
-    _check_positive("ffn_ratio", ffn_ratio)
-    if head_dim < 1:
-        raise SearchSpecError(f"head_dim must be >= 1, got {head_dim}")
+    check_bounds({"target_params": target_params, "aspect_ratio": aspect_ratio,
+                  "ffn_ratio": ffn_ratio, "head_dim": head_dim}, SearchSpecError,
+                 target_params=">= 1", aspect_ratio="> 0", ffn_ratio="> 0", head_dim=">= 1")
     best: tuple[float, int, DenseShape] | None = None
     for layers in range(1, _DENSE_MAX_LAYERS + 1):
         model_dim = max(head_dim, _snap(aspect_ratio * layers, head_dim))
@@ -255,8 +247,9 @@ def dense_baseline(target_params: int, aspect_ratio: float, ffn_ratio: float,
     assert best is not None
     rel, _, shape = best
     if rel > _DENSE_TOLERANCE:
+        target = json_value("target_params", target_params, "float", SearchSpecError)
         raise InfeasibleSpecError(
-            f"no dense shape within {_DENSE_TOLERANCE:.0%} of N={target_params:.3g} at "
+            f"no dense shape within {_DENSE_TOLERANCE:.0%} of N={target:.3g} at "
             f"aspect_ratio={aspect_ratio}, ffn_ratio={ffn_ratio}, head_dim={head_dim} "
             f"(closest miss {rel:.1%})")
     return shape

@@ -55,10 +55,8 @@ class ToyTask:
     concentration: float = 1.0  # sharper cluster distributions for larger values
 
     def __post_init__(self) -> None:
-        check_bounds(self, ToyConfigError, clusters=2, vocab=2, seq_len=2, seed=0)
-        if not 0 <= self.concentration < math.inf:
-            raise ToyConfigError(
-                f"concentration must be finite and >= 0, got {self.concentration}")
+        check_bounds(self, ToyConfigError, clusters=">= 2", vocab=">= 2", seq_len=">= 2",
+                     seed=">= 0", concentration="finite and >= 0")
 
     def cluster_distributions(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -103,15 +101,10 @@ class ToyTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_bounds(self, ToyConfigError, steps=0, lam=0)
-        if not self.lam < math.inf:
-            raise ToyConfigError(f"lam must be finite, got {self.lam}")
-        if not 0 < self.lr < math.inf:
-            raise ToyConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0 <= self.momentum < math.inf:
-            raise ToyConfigError(f"momentum must be finite and >= 0, got {self.momentum}")
-        check_bounds(self, ToyConfigError, batch_sequences=1, model_dim=1, expert_dim=1,
-                     experts=1, shared_dim=0, seed=0)
+        check_bounds(self, ToyConfigError, steps=">= 0", lam=">= 0")
+        check_bounds(self, ToyConfigError, lam="finite", lr="finite and > 0",
+                     momentum="finite and >= 0", batch_sequences=">= 1", model_dim=">= 1",
+                     expert_dim=">= 1", experts=">= 1", shared_dim=">= 0", seed=">= 0")
         check_routing(self.experts, self.top_k, self.normalized, ToyConfigError)
 
 

@@ -10,7 +10,8 @@ The ``grad-check`` payloads (``GRAD_CHECK``) and a 200-step ``train-toy`` run
 (``TRAIN_TOY``) depend on the numpy build, the BLAS build and the BLAS core
 that runs them, and numpy words the diagnostic of an allocation too large for
 the machine (``OUT_OF_MEMORY``), so ``digests.json`` keeps them apart, under
-``numpy_records``, with the build that wrote them (``numpy_build``).
+``numpy_records``: one record set per build that wrote them (``numpy_build``).
+``--write`` replaces the running build's set and keeps the others.
 
 Each argv runs in process through ``moebudget.cli.main``. Input files live in
 a temporary directory, written as ``{tmp}`` in argv and outputs. The pinned
@@ -321,14 +322,23 @@ def numpy_build() -> dict[str, Any]:
 
 
 def write_digests(results: list[dict[str, Any]]) -> None:
-    def lines(rows: list[dict[str, Any]]) -> str:
-        return ",\n".join(json.dumps(record(r)) for r in rows)
+    """Write the records of ``results``; the numpy records replace the set of the
+    running build, and the sets of other builds are kept."""
+    def lines(pinned: list[dict[str, Any]]) -> str:
+        return ",\n".join(json.dumps(p) for p in pinned)
 
-    numpy = [r for r in results if r["argv"] in NUMPY_ARGVS]
-    rest = [r for r in results if r["argv"] not in NUMPY_ARGVS]
+    build = numpy_build()
+    fresh = {"build": build,
+             "records": [record(r) for r in results if r["argv"] in NUMPY_ARGVS]}
+    kept = json.loads(DIGESTS.read_text())["numpy_records"] if DIGESTS.exists() else []
+    sets = [fresh if s["build"] == build else s for s in kept]
+    if fresh not in sets:
+        sets.append(fresh)
+    rest = [record(r) for r in results if r["argv"] not in NUMPY_ARGVS]
+    numpy = ",\n".join(f'{{"build": {json.dumps(s["build"])}, "records": [\n'
+                       f'{lines(s["records"])}\n]}}' for s in sets)
     DIGESTS.write_text(f'{{"python": {json.dumps(python_version())}, "records": [\n'
-                       f'{lines(rest)}\n], "numpy": {json.dumps(numpy_build())}, '
-                       f'"numpy_records": [\n{lines(numpy)}\n]}}\n')
+                       f'{lines(rest)}\n], "numpy_records": [\n{numpy}\n]}}\n')
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Parameter/FLOP accounting: worked examples, identities, and monotonicity."""
 
+import argparse
 import dataclasses
 import math
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from moebudget.arch import (
     MoEShape,
     ShapeError,
     activation_rate,
+    check_bounds,
     compute_ratio,
     dense_fwd_flops,
     dense_params,
@@ -26,9 +29,14 @@ from moebudget.arch import (
     table_columns,
     training_compute,
 )
+from moebudget import cli
+from moebudget.errors import MoebudgetError
+from moebudget.fixtures import FixtureTable, _meta_count
 from moebudget.kernel import GradCheckSettings, KernelError
-from moebudget.search import SearchSpec, SearchSpecError
-from moebudget.toylab import ToyConfigError, ToyTrainConfig, toy_config_from_json
+from moebudget.planner import (build_sweep, iterations, loose_reuse, strict_reuse,
+                               tokens_for_compute, warmup_iters)
+from moebudget.search import SearchSpec, SearchSpecError, dense_baseline
+from moebudget.toylab import ToyConfigError, ToyTask, ToyTrainConfig, toy_config_from_json
 
 DENSE_7B = DenseShape(layers=32, model_dim=4096, ffn_dim=11008, heads=32,
                       head_dim=128, seq_len=2048)
@@ -49,6 +57,121 @@ MOE_2B = MoEShape(
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _record(make, **base):
+    def record(field, value):
+        return make(**{**base, field: value})
+    record.__name__ = make.__name__
+    return record
+
+
+_DENSE = _record(DenseShape, layers=4, model_dim=256, ffn_dim=512, heads=2, head_dim=128,
+                 seq_len=64)
+_MOE = _record(MoEShape, base=_DENSE("layers", 4), moe_layers=3, dense_layers=1, experts=4,
+               top_k=2, expert_dim=64)
+_SPEC = _record(SearchSpec, target_params=10**9, target_activation_rate=0.2)
+_DENSE_BASELINE = _record(dense_baseline, target_params=6.48e9, aspect_ratio=128.0,
+                          ffn_ratio=2.69)
+
+
+def _meta(field, value):
+    return _meta_count(FixtureTable("t", "moe", (), {"total_params": value}), "total_params")
+
+
+def _row_h(field, value):
+    return FixtureTable("t", "dense", (), {}).row_shape({"H": value})
+
+
+def _sweep_value(field, value):
+    return build_sweep("D", value, [MOE_7B], row_hparams=[(1e-3, 24)])
+
+
+def _sweep_b(field, value):
+    return build_sweep("D", 10**12, [MOE_7B], row_hparams=[(1e-3, value)])
+
+
+def _sweep_eta(field, value):
+    return build_sweep("D", 10**12, [MOE_7B], row_hparams=[(value, 24)])
+
+
+def _count(field, value):
+    return cli._count(str(value))
+
+
+# (record or call, field, bound, values just outside the bound); a field that must be
+# finite lists inf after NaN, under the first bound that NaN or inf fails
+BOUNDS = [
+    *((_DENSE, f, ">= 1", [0, nan]) for f in ("layers", "model_dim", "ffn_dim", "heads",
+                                                 "head_dim", "seq_len")),
+    *((_MOE, f, ">= 1", [0, nan]) for f in ("moe_layers", "experts", "expert_dim")),
+    (_MOE, "shared_expert_dim", ">= 0", [-1, nan]),
+    (_MOE, "top_k", "in [1, 4]", [0, 5, nan]),
+    *((_record(GradCheckSettings), f, ">= 1", [0, nan])
+      for f in ("experts", "model_dim", "expert_dim", "trials")),
+    *((_record(GradCheckSettings), f, ">= 0", [-1, nan]) for f in ("shared_dim", "seed")),
+    (_record(GradCheckSettings), "lam", ">= 0", [-1e-9, nan]),
+    (_record(GradCheckSettings), "lam", "finite", [inf]),
+    (_record(GradCheckSettings), "tolerance", "> 0", [0.0, nan]),
+    (_record(GradCheckSettings), "tolerance", "finite", [inf]),
+    *((_record(ToyTask), f, ">= 2", [1, nan]) for f in ("vocab", "seq_len", "clusters")),
+    (_record(ToyTask), "seed", ">= 0", [-1, nan]),
+    (_record(ToyTask), "concentration", "finite and >= 0", [-1e-9, nan, inf]),
+    (_record(ToyTrainConfig), "steps", ">= 0", [-1, nan]),
+    (_record(ToyTrainConfig), "lam", ">= 0", [-1e-9, nan]),
+    (_record(ToyTrainConfig), "lam", "finite", [inf]),
+    (_record(ToyTrainConfig), "lr", "finite and > 0", [0.0, nan, inf]),
+    (_record(ToyTrainConfig), "momentum", "finite and >= 0", [-1e-9, nan, inf]),
+    *((_record(ToyTrainConfig), f, ">= 1", [0, nan])
+      for f in ("batch_sequences", "model_dim", "expert_dim", "experts")),
+    *((_record(ToyTrainConfig), f, ">= 0", [-1, nan]) for f in ("shared_dim", "seed")),
+    (_record(ToyTrainConfig), "top_k", "in [1, 8]", [0, 9, nan]),
+    (_SPEC, "target_params", ">= 1", [0, nan]),
+    (_SPEC, "target_activation_rate", "in (0, 1]", [0.0, 1.0000000000000002, nan]),
+    *((_SPEC, f, "> 0", [0.0, nan])
+      for f in ("aspect_ratio", "expert_width_ratio", "dense_ffn_ratio")),
+    (_SPEC, "k_min", ">= 1", [0, nan]),
+    (_SPEC, "k_max", ">= 2", [1, nan]),
+    *((_SPEC, f, ">= 1", [0, nan]) for f in ("head_dim", "seq_len", "expert_dim_multiple",
+                                              "max_experts", "max_candidates")),
+    (_DENSE_BASELINE, "target_params", ">= 1", [0, nan]),
+    *((_DENSE_BASELINE, f, "> 0", [0.0, nan]) for f in ("aspect_ratio", "ffn_ratio")),
+    (_DENSE_BASELINE, "head_dim", ">= 1", [0, nan]),
+    (_record(training_compute, fwd_flops_per_token=10), "tokens", ">= 0", [-1]),
+    (_record(tokens_for_compute, train_compute=10), "fwd_flops_per_token", "> 0", [0]),
+    (_record(tokens_for_compute, fwd_flops_per_token=10), "train_compute", ">= 0", [-1]),
+    *((_record(iterations, tokens=10, batch_sequences=1, seq_len=1), f, ">= 1", [0, nan])
+      for f in ("batch_sequences", "seq_len")),
+    (_record(warmup_iters), "total_iters", ">= 0", [-1, nan]),
+    (_record(strict_reuse, consumed_tokens=10), "unique_tokens", "> 0", [0, nan]),
+    (_record(strict_reuse, unique_tokens=10), "consumed_tokens", ">= 0", [-1, nan]),
+    (_record(loose_reuse), "consumed_tokens", ">= 0", [-1, nan]),
+    (_sweep_value, "fixed value", "> 0", [0]),
+    (_sweep_eta, "eta", "finite and > 0", [0.0, nan, inf]),
+    (_sweep_b, "B", ">= 1", [0]),
+    (_count, "count", ">= 0", [-1]),
+    (_meta, "index entry 't': total_params", "> 0 and finite", [0.0, nan, inf]),
+    (_row_h, "t: H", ">= 1", [0.0, nan]),
+]
+# a count read exactly rejects NaN as a type, before its bound
+TYPE_CASES = [
+    (lambda: training_compute(10, nan), "tokens must be int, got nan"),
+    (lambda: tokens_for_compute(10, nan), "fwd_flops_per_token must be int, got nan"),
+    (lambda: tokens_for_compute(nan, 10), "train_compute must be int, got nan"),
+    (lambda: _sweep_value("value", nan), "value must be int, got nan"),
+    (lambda: _sweep_b("B", nan), "B must be int, got nan"),
+]
+
+
+def _bound_cases():
+    cases = [pytest.param(make, message, id=message) for make, message in TYPE_CASES]
+    for call, field, bound, values in BOUNDS:
+        for value in values:
+            message = f"{field} must be {bound}, got {value}"
+            cases.append(pytest.param(lambda call=call, field=field, value=value:
+                                      call(field, value), message,
+                                      id=f"{call.__name__}: {message}"))
+    return cases
 
 
 class TestDenseParams:
@@ -251,6 +374,17 @@ class TestCheckBounds:
         with pytest.raises(SearchSpecError) as info:
             SearchSpec(target_params=10**9, target_activation_rate=0.2, k_min=3, k_max=2)
         assert str(info.value) == "k_max must be >= 3, got 2"
+
+    @pytest.mark.parametrize("make, message", _bound_cases())
+    def test_every_bound_names_its_field(self, make, message):
+        with pytest.raises((MoebudgetError, argparse.ArgumentTypeError)) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_ints_beyond_float_range_compare_exactly(self):
+        check_bounds({"n": 10**400}, ShapeError, n="finite and >= 0")
+        with pytest.raises(ShapeError, match=f"n must be >= {2**70 + 1}, got {2**70}"):
+            check_bounds({"n": 2**70}, ShapeError, n=f">= {2**70 + 1}")
 
 
 class TestBudgetRecord:

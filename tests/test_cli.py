@@ -366,6 +366,8 @@ class TestStrictInput:
         "--tolerance": ["grad-check", "--trials", "1"],
         "--lam": ["grad-check", "--trials", "1"],
     }
+    # the field a count flag's str(10**400) overflows, where its command takes a float
+    PAST_FLOAT_RANGE = {"--compute": "tokens", "--target-n": "target_params", "--value": "tokens"}
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-1", "1.5", "1e400", "",
                                        "abc", str(2**70 + 1),
@@ -381,8 +383,27 @@ class TestStrictInput:
         assert result.exit_code in codes, result.diagnostics
         if result.exit_code == 1:
             assert result.payload == ""
+            if token == str(10**400):
+                assert self.PAST_FLOAT_RANGE.get(flag, f"argument {flag}:") in result.diagnostics
         if result.exit_code == 0 or result.payload:
             json.loads(result.payload)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "moe", "--shape-file", "{moe}", "--tokens", str(10**400)],
+         "tokens is too large for a float, got 100000000000000000...0000000000000000000"),
+        (["reuse", "--scheme", "strict", "--tokens", str(10**400), "--unique-tokens", "1"],
+         "consumed_tokens is too large for a float epoch count"),
+        (["search", "--target-n", str(10**400), "--target-ra", "0.2"],
+         "target_params must be float, got 100000000000000000...0000000000000000000"),
+        (["reuse", "--scheme", "loose", "--tokens", str(10**400)], None),
+    ], ids=["plan", "reuse-strict", "search", "reuse-loose"])
+    def test_count_past_the_float_range_is_named(self, moe_shape_file, argv, message):
+        result = dispatch([a.format(moe=moe_shape_file) for a in argv])
+        if message is None:  # loose reuse takes no float, so its counts stay exact
+            assert result.exit_code == 0
+            assert json.loads(result.payload)["consumed_tokens"] == 10**400
+        else:
+            assert (result.exit_code, result.payload, result.diagnostics) == (1, "", message)
 
     def test_compute_budget_round_trips_beyond_float_precision(self, moe_shape_file):
         fwd = derive_budget(shape_from_json(MOE_7B_SHAPE)).fwd_flops_per_token

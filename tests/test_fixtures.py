@@ -206,6 +206,28 @@ def test_missing_column_is_a_fixture_error(tmp_path, argv, table, column):
     assert result.diagnostics == f"fixture table {table!r} has no column {column!r}"
 
 
+@pytest.mark.parametrize("argv, table, column, value", [
+    (["validate-fixtures", "--table", "moe_7b_strict_reuse"], "moe_7b_strict_reuse", "D",
+     "511000000000.5"),
+    (["validate-fixtures", "--table", "moe_7b_strict_reuse"], "moe_7b_strict_reuse", "B",
+     "1344.5"),
+    (["fit-hparams", "--from-fixture", "moe_7b_loose_reuse", "--target", "eta"],
+     "moe_7b_loose_reuse", "D_hat", "256000000000.5"),
+])
+def test_fractional_count_is_a_fixture_error(tmp_path, argv, table, column, value):
+    copy_tables(tmp_path)
+
+    def set_first_row(rows):
+        rows[0][column] = value
+        return rows
+
+    edit_csv(tmp_path / f"{table}.csv", set_first_row)
+    result = dispatch([*argv, "--dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert result.diagnostics == f"{table} row 0: {column} must be int, got {value}"
+
+
 @pytest.mark.parametrize("column", ["C", "M", "D/N"])
 def test_zero_budget_column_is_a_fixture_error(tmp_path, column):
     copy_tables(tmp_path)
