@@ -316,6 +316,20 @@ def json_value(key: str, value: Any, kind: str, error: type[Exception]) -> Any:
     raise error(f"{key} must be {kind}, got {reprlib.repr(value)}")
 
 
+def exact_int(text: str) -> int | None:
+    """The integer that number text names, read exactly, or None if it names a fraction:
+    integer text by int(), other text by its decimal value once float() reads it as finite,
+    which bounds its exponent. Text that is no finite number raises ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        if not abs(float(text)) <= sys.float_info.max:
+            raise
+        from decimal import Decimal  # only float text pays for this import
+        value = Decimal(text)
+        return int(value) if value == value.to_integral_value() else None
+
+
 def read_json_file(path: str | Path, what: str, error: type[Exception]) -> Any:
     """The JSON value in file ``path``; a missing file, or one that is not UTF-8, not
     JSON or nested too deeply to decode, raises ``error`` naming ``what`` and ``path``."""

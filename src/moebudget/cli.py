@@ -84,13 +84,14 @@ def _real(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """An exact non-negative int: integer text, or float text naming an integer."""
+    """An exact non-negative int: integer text, or finite float text naming an integer."""
     try:
-        value = int(text)
+        value = arch.exact_int(text)
     except ValueError:
-        if not _real(text).is_integer():
-            raise argparse.ArgumentTypeError(f"count must be an integer, got {text}") from None
-        value = int(float(text))
+        _real(text)  # raises the diagnostic of text that is no finite number
+        raise
+    if value is None:
+        raise argparse.ArgumentTypeError(f"count must be an integer, got {text}")
     arch.check_bounds({"count": value}, argparse.ArgumentTypeError, count=">= 0")
     return value
 

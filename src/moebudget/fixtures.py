@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any
 
 from .arch import (DENSE_KEYS, MOE_KEYS, DenseShape, MoEShape, check_bounds, derive_budget,
-                   json_value, read_json_file, shape_from_json, table_columns)
+                   exact_int, json_value, read_json_file, shape_from_json, table_columns)
 from .errors import FixtureError
 from .planner import iterations
 
@@ -53,19 +53,25 @@ def fixtures_dir(override: str | os.PathLike | None = None) -> Path:
 
 
 class FixtureRow(dict):
-    """Row ``index`` of a parsed table; reading a column it lacks is a FixtureError."""
+    """Row ``index`` of a parsed table, with the ``texts`` its values were read from;
+    reading a column it lacks is a FixtureError."""
 
-    def __init__(self, table: str, index: int, values: dict[str, float]) -> None:
+    def __init__(self, table: str, index: int, values: dict[str, float],
+                 texts: dict[str, str]) -> None:
         super().__init__(values)
-        self.table = table
+        self.table, self.texts = table, texts
         self.label = f"{table} row {index}"
 
     def __missing__(self, column: str) -> float:
         raise FixtureError(f"fixture table {self.table!r} has no column {column!r}")
 
     def count(self, column: str) -> int:
-        """A count column's value, exactly: a fractional one is a FixtureError."""
-        return json_value(f"{self.label}: {column}", self[column], "int", FixtureError)
+        """A count column's value, read exactly from its text; a fractional one, or one
+        the row lacks, is a FixtureError."""
+        value = exact_int(self.texts[column]) if column in self else self[column]
+        if value is None:
+            raise FixtureError(f"{self.label}: {column} must be int, got {self.texts[column]}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ def load_table(name: str, directory: str | os.PathLike | None = None) -> Fixture
             if not math.isfinite(parsed[key]):
                 raise FixtureError(
                     f"{csv_path}:{line_no}: non-finite value {value!r} in column {key}")
-        rows.append(FixtureRow(name, len(rows), parsed))
+        rows.append(FixtureRow(name, len(rows), parsed, raw))
     if not rows:
         raise FixtureError(f"fixture file {csv_path} has no data rows")
     table = FixtureTable(name=name, kind=meta["kind"], rows=tuple(rows), meta=meta)

@@ -18,15 +18,15 @@ expert_dim); and, with a shared expert, ``shared.w_gate`` and ``shared.w_up``
 named arrays are views into theta, and gradients come back flat in the same
 layout.
 
-``moe_batch_forward`` is the one routing path. It records the batch's
-balance statistics (``balance_stats``) in its cache, and their integer
-selection tallies cut the expert spans: the (token, expert) selections are
-sorted by expert, tokens ascending within each, x is gathered once, and each
-expert's matmuls run on its contiguous slice of those rows. The outputs and
-input gradients go back in top_k adds ranked by expert, so every token sums
-its experts in ascending order and results are bit-stable across runs.
-``moe_batch_backward`` takes the balance-loss weight ``lam`` and adds the
-frozen-selection gradient of ``lam * balance_loss`` from the cached statistics.
+``moe_batch_forward`` is the one routing path. It records the batch's balance
+statistics (``balance_stats``) in its cache, and their integer selection tallies
+cut the expert spans: the (token, expert) selections are sorted by expert, tokens
+ascending within each, x is gathered once, and each expert's matmuls run on its
+contiguous slice of those rows. The outputs and input gradients go back in top_k
+adds ranked by expert, so every token sums its experts in ascending order and
+results are bit-stable across runs. The shared expert runs through the routed
+experts' routine, one per direction, as one span over every token. The backward
+adds the frozen-selection gradient of ``lam * balance_loss`` from the cache.
 
 Both write their large arrays through ``out=`` into the ``Workspace`` the
 caller passes to the forward (a fresh one if none), which the cache keeps for
@@ -230,13 +230,15 @@ class BlockGrads:
 
 @dataclass
 class SwiGLUCache:
-    """What the backward pass needs of silu(x @ w_gate.T) * (x @ w_up.T)."""
+    """An expert part's forward: span (e, lo, hi) ran expert e on rows lo:hi of x."""
 
-    x: np.ndarray          # the rows the SwiGLU saw
+    x: np.ndarray          # the rows the part saw
+    spans: list[tuple[Any, int, int]]  # (expert, first row, end row) if it has rows
     up: np.ndarray         # b = x @ w_up.T
     silu: np.ndarray       # silu(a), a = x @ w_gate.T
     silu_grad: np.ndarray  # silu'(a)
     hidden: np.ndarray     # silu(a) * b
+    out: np.ndarray        # hidden @ w_down.T; the shared part's is tmp, which the backward reuses
 
 
 @dataclass
@@ -252,11 +254,9 @@ class BlockCache:
     selected_sum: np.ndarray  # (n, 1) sum of selected scores
     expert: np.ndarray        # (n * top_k,) expert of each routed row
     token: np.ndarray         # (n * top_k,) token of each routed row
-    spans: list[tuple[int, int, int]]  # (expert, first row, end row) if it has rows
     rank: np.ndarray          # (top_k, n)
-    routed: SwiGLUCache       # over the routed rows
-    out: np.ndarray           # (n * top_k, model_dim) routed expert outputs
-    shared: SwiGLUCache | None
+    routed: SwiGLUCache       # over the routed rows, a span per expert with rows
+    shared: SwiGLUCache | None  # over x, one span of every token
     workspace: Workspace      # holds the arrays above that the forward computed
 
 
@@ -273,17 +273,48 @@ def _silu(z: np.ndarray) -> np.ndarray:
     return z * _sigmoid(z)
 
 
-def _swiglu(x: np.ndarray, a: np.ndarray, b: np.ndarray, ws: Workspace,
-            name: str) -> SwiGLUCache:
-    """silu(a) * b from one sigmoid of a, with silu'(a) = sig * (1 + a * (1 - sig))
-    kept for the backward pass; sig starts in silu'(a)'s buffer."""
-    grad, hidden = ws.get(f"{name}.silu_grad", a.shape), ws.get(f"{name}.hidden", a.shape)
+def _experts_forward(p: dict[str, np.ndarray], part: str, x: np.ndarray,
+                     spans: list[tuple[Any, int, int]], ws: Workspace, name: str,
+                     out: str) -> SwiGLUCache:
+    """The ``part`` experts on their spans of rows ``x``, in buffers ``name.*`` and ``out``;
+    silu'(a) = sig * (1 + a * (1 - sig)) from one sigmoid, begun in silu'(a)'s buffer."""
+    w_gate, w_up, w_down = (p[f"{part}.{k}"] for k in ("w_gate", "w_up", "w_down"))
+    shape = (x.shape[0], w_gate.shape[-2])
+    a, b = ws.get(f"{name}.a", shape), ws.get(f"{name}.b", shape)
+    for e, lo, hi in spans:
+        np.matmul(x[lo:hi], w_gate[e].T, out=a[lo:hi])
+        np.matmul(x[lo:hi], w_up[e].T, out=b[lo:hi])
+    grad, hidden = ws.get(f"{name}.silu_grad", shape), ws.get(f"{name}.hidden", shape)
     sig = _sigmoid(a, out=grad, scratch=hidden)
-    silu = np.multiply(a, sig, out=ws.get(f"{name}.silu", a.shape))
+    silu = np.multiply(a, sig, out=ws.get(f"{name}.silu", shape))
     np.multiply(a, np.subtract(1.0, sig, out=hidden), out=hidden)
     grad *= np.add(1.0, hidden, out=hidden)
-    return SwiGLUCache(x=x, up=b, silu=silu, silu_grad=grad,
-                       hidden=np.multiply(silu, b, out=hidden))
+    np.multiply(silu, b, out=hidden)
+    result = ws.get(out, x.shape)
+    for e, lo, hi in spans:
+        np.matmul(hidden[lo:hi], w_down[e].T, out=result[lo:hi])
+    return SwiGLUCache(x, spans, b, silu, grad, hidden, result)
+
+
+def _experts_backward(p: dict[str, np.ndarray], g: dict[str, np.ndarray], part: str,
+                      c: SwiGLUCache, de: np.ndarray, d_xs: np.ndarray, scratch: np.ndarray,
+                      ws: Workspace, name: str) -> np.ndarray:
+    """The ``part`` experts' weight gradients, written into ``g``, and ``d_xs``, dLoss/dx
+    of their rows, given ``de`` = dLoss/d(out); ``scratch`` is as large as ``d_xs``."""
+    w_gate, w_up, w_down = (p[f"{part}.{k}"] for k in ("w_gate", "w_up", "w_down"))
+    dh = ws.get(f"{name}.dh", c.up.shape)
+    for e, lo, hi in c.spans:
+        np.matmul(de[lo:hi], w_down[e], out=dh[lo:hi])
+    da = np.multiply(dh, c.up, out=ws.get(f"{name}.da", dh.shape))
+    da *= c.silu_grad
+    db = np.multiply(dh, c.silu, out=ws.get(f"{name}.db", dh.shape))
+    for e, lo, hi in c.spans:
+        g[f"{part}.w_down"][e] = de[lo:hi].T @ c.hidden[lo:hi]
+        g[f"{part}.w_gate"][e] = da[lo:hi].T @ c.x[lo:hi]
+        g[f"{part}.w_up"][e] = db[lo:hi].T @ c.x[lo:hi]
+        np.matmul(da[lo:hi], w_gate[e], out=d_xs[lo:hi])
+        d_xs[lo:hi] += np.matmul(db[lo:hi], w_up[e], out=scratch[lo:hi])
+    return d_xs
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -338,32 +369,20 @@ def moe_batch_forward(params: BlockParams, x: np.ndarray,
     rank = np.argsort(token, kind="stable").reshape(n, params.top_k).T
     # take writes into out= unbuffered only outside mode="raise"; no index clips
     xs = np.take(x, token, axis=0, out=ws.get("xs", (token.size, x.shape[1])), mode="clip")
-    hidden_shape = (token.size, p["experts.w_gate"].shape[1])
-    a, b = ws.get("routed.a", hidden_shape), ws.get("routed.b", hidden_shape)
-    for e, lo, hi in spans:
-        np.matmul(xs[lo:hi], p["experts.w_gate"][e].T, out=a[lo:hi])
-        np.matmul(xs[lo:hi], p["experts.w_up"][e].T, out=b[lo:hi])
-    routed = _swiglu(xs, a, b, ws, "routed")
-    out = ws.get("out", xs.shape)
-    for e, lo, hi in spans:
-        np.matmul(routed.hidden[lo:hi], p["experts.w_down"][e].T, out=out[lo:hi])
-    weighted = np.multiply(gate_weights[token, expert][:, None], out,
+    routed = _experts_forward(p, "experts", xs, spans, ws, "routed", "out")
+    weighted = np.multiply(gate_weights[token, expert][:, None], routed.out,
                            out=ws.get("weighted", xs.shape))
     # rank-ordered adds keep each token's ascending-expert addition order
     y, tmp = ws.zeros("y", x.shape), ws.get("tmp", x.shape)
     for rows in rank:
         y += np.take(weighted, rows, axis=0, out=tmp, mode="clip")
     shared = None
-    if "shared.w_gate" in p:
-        shape = (n, p["shared.w_gate"].shape[0])
-        shared = _swiglu(x, np.matmul(x, p["shared.w_gate"].T, out=ws.get("shared.a", shape)),
-                         np.matmul(x, p["shared.w_up"].T, out=ws.get("shared.b", shape)),
-                         ws, "shared")
-        y += np.matmul(shared.hidden, p["shared.w_down"].T, out=tmp)
+    if "shared.w_gate" in p:  # one span of every token; its index ... takes each whole weight
+        shared = _experts_forward(p, "shared", x, [(..., 0, n)], ws, "shared", "tmp")
+        y += shared.out
     cache = BlockCache(x=x, scores=scores, mask=mask, balance=balance,
                        gate_weights=gate_weights, selected_sum=selected_sum, expert=expert,
-                       token=token, spans=spans, rank=rank, routed=routed, out=out,
-                       shared=shared, workspace=ws)
+                       token=token, rank=rank, routed=routed, shared=shared, workspace=ws)
     return y, cache
 
 
@@ -378,36 +397,15 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
     g = params.layout.views(d_theta)
 
     if cache.shared is not None:
-        c = cache.shared
-        dh = np.matmul(upstream, p["shared.w_down"], out=ws.get("shared.dh", c.up.shape))
-        da = np.multiply(dh, c.up, out=ws.get("shared.da", dh.shape))
-        da *= c.silu_grad
-        db = np.multiply(dh, c.silu, out=ws.get("shared.db", dh.shape))
-        g["shared.w_down"][...] = upstream.T @ c.hidden
-        g["shared.w_gate"][...] = da.T @ x
-        g["shared.w_up"][...] = db.T @ x
-        np.matmul(da, p["shared.w_gate"], out=tmp)
-        tmp += np.matmul(db, p["shared.w_up"], out=tmp2)
-        d_x += tmp
+        d_x += _experts_backward(p, g, "shared", cache.shared, upstream, tmp, tmp2, ws, "shared")
 
     c, token, expert = cache.routed, cache.token, cache.expert
     dys = np.take(upstream, token, axis=0, out=ws.get("dys", c.x.shape), mode="clip")
     d_gate_weights = np.zeros_like(cache.gate_weights)
-    d_gate_weights[token, expert] = np.einsum("nd,nd->n", dys, cache.out)
+    d_gate_weights[token, expert] = np.einsum("nd,nd->n", dys, c.out)
     de = np.multiply(cache.gate_weights[token, expert][:, None], dys, out=dys)
-    dh, d_xs = ws.get("routed.dh", c.up.shape), ws.get("d_xs", c.x.shape)
-    for e, lo, hi in cache.spans:
-        np.matmul(de[lo:hi], p["experts.w_down"][e], out=dh[lo:hi])
-    da = np.multiply(dh, c.up, out=ws.get("routed.da", dh.shape))
-    da *= c.silu_grad
-    db = np.multiply(dh, c.silu, out=ws.get("routed.db", dh.shape))
-    for e, lo, hi in cache.spans:
-        g["experts.w_down"][e] = de[lo:hi].T @ c.hidden[lo:hi]
-        g["experts.w_gate"][e] = da[lo:hi].T @ c.x[lo:hi]
-        g["experts.w_up"][e] = db[lo:hi].T @ c.x[lo:hi]
-        np.matmul(da[lo:hi], p["experts.w_gate"][e], out=d_xs[lo:hi])
-        # de's rows are spent, so they hold the second product
-        d_xs[lo:hi] += np.matmul(db[lo:hi], p["experts.w_up"][e], out=de[lo:hi])
+    # de's rows are spent by the time a span's scratch is written, so de is the scratch
+    d_xs = _experts_backward(p, g, "experts", c, de, ws.get("d_xs", c.x.shape), de, ws, "routed")
     for rows in cache.rank:
         d_x += np.take(d_xs, rows, axis=0, out=tmp, mode="clip")
 
@@ -417,7 +415,7 @@ def moe_batch_backward(params: BlockParams, cache: BlockCache, upstream: np.ndar
         inner = (d_gate_weights * cache.gate_weights).sum(axis=1, keepdims=True)
         d_scores = np.where(cache.mask, (d_gate_weights - inner) / cache.selected_sum, 0.0)
     else:
-        d_scores = np.where(cache.mask, d_gate_weights, 0.0)
+        d_scores = d_gate_weights  # zero off the selected set
     if lam:
         # d(balance)/d s_i(x) = experts * load_fraction_i / batch, selection frozen
         stats = cache.balance

@@ -405,6 +405,26 @@ class TestStrictInput:
         else:
             assert (result.exit_code, result.payload, result.diagnostics) == (1, "", message)
 
+    def test_float_text_count_is_read_exactly(self):
+        result = dispatch(["reuse", "--scheme", "loose", "--tokens", "1e24"])
+        assert result.exit_code == 0
+        assert json.loads(result.payload)["consumed_tokens"] == 10**24
+
+    def test_fractional_count_is_rejected_past_float_precision(self, moe_shape_file):
+        result = dispatch(["plan", "moe", "--shape-file", moe_shape_file,
+                           "--tokens", "9007199254740993.5"])
+        assert (result.exit_code, result.payload) == (1, "")
+        assert "argument --tokens: count must be an integer, got 9007199254740993.5" \
+            in result.diagnostics
+
+    def test_sweep_shapes_file_must_hold_a_list(self, tmp_path):
+        path = tmp_path / "shapes.json"
+        path.write_text("{}")
+        result = dispatch(["sweep", "--fixed", "c", "--value", "2.86e21",
+                           "--shapes-file", str(path)])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", "shapes file must hold a nonempty JSON list")
+
     def test_compute_budget_round_trips_beyond_float_precision(self, moe_shape_file):
         fwd = derive_budget(shape_from_json(MOE_7B_SHAPE)).fwd_flops_per_token
         tokens = 2**61 + 12345

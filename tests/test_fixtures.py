@@ -69,6 +69,22 @@ def test_fault_injection_flags_only_corrupt_row(tmp_path):
     assert clean_rows.issuperset(set(range(8)) - {4})
 
 
+def test_corrupt_row_exits_3_naming_its_failing_columns(tmp_path):
+    copy_tables(tmp_path)
+
+    def double_best_expert_width(rows):
+        rows[4]["D_e"] = str(int(rows[4]["D_e"]) * 2)
+        return rows
+
+    edit_csv(tmp_path / "moe_7b_fixed_compute.csv", double_best_expert_width)
+    result = dispatch(["validate-fixtures", "--dir", str(tmp_path),
+                       "--table", "moe_7b_fixed_compute"])
+    payload = json.loads(result.payload)
+    assert (result.exit_code, payload["ok"], len(payload["failures"])) == (3, False, 6)
+    assert result.diagnostics == "residuals exceed tolerance: " + ", ".join(
+        f"moe_7b_fixed_compute[4].{column}" for column in ("C", "D/N", "M", "N", "N_a", "r_a"))
+
+
 def test_missing_directory_raises(tmp_path):
     with pytest.raises(FixtureError, match="index not found"):
         load_table("dense_baselines", tmp_path / "nowhere")
@@ -226,6 +242,19 @@ def test_fractional_count_is_a_fixture_error(tmp_path, argv, table, column, valu
     assert result.exit_code == 1
     assert result.payload == ""
     assert result.diagnostics == f"{table} row 0: {column} must be int, got {value}"
+
+
+@pytest.mark.parametrize("text", ["12345678901234567891", "1.2345678901234567891e19"])
+def test_count_cell_is_read_exactly_beyond_float_precision(tmp_path, text):
+    copy_tables(tmp_path)
+
+    def set_first_row(rows):
+        rows[0]["D"] = text
+        return rows
+
+    edit_csv(tmp_path / "moe_7b_fixed_compute.csv", set_first_row)
+    table = load_table("moe_7b_fixed_compute", tmp_path)
+    assert table.row_tokens(table.rows[0]) == 12345678901234567891
 
 
 @pytest.mark.parametrize("column", ["C", "M", "D/N"])

@@ -268,6 +268,28 @@ def test_grouped_dispatch_is_bit_identical_to_per_expert_loop(experts, top_k, no
         assert not grads.views[name][idle].any(), name
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_grouped_dispatch_is_bit_identical_on_drawn_shapes(data):
+    experts = data.draw(st.integers(1, 8), label="experts")
+    normalized = experts >= 2 and data.draw(st.booleans(), label="normalized")
+    top_k = data.draw(st.integers(2 if normalized else 1, experts), label="top_k")
+    shared_dim = data.draw(st.integers(0, 4), label="shared_dim")
+    n = data.draw(st.integers(1, 40), label="n")
+    lam = data.draw(st.sampled_from([0.0, 0.3]), label="lam")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = init_block_params(rng, experts, top_k, 7, 4, shared_dim, normalized)
+    x, upstream = rng.normal(size=(n, 7)), rng.normal(size=(n, 7))
+    y, cache = moe_batch_forward(params, x)
+    grads = moe_batch_backward(params, cache, upstream, lam)
+    extra = lam * experts * cache.balance.load_fraction / n
+    ref_y, ref_dx, ref_theta = per_expert_reference(params, cache, upstream, extra)
+    assert np.array_equal(y, ref_y)
+    assert np.array_equal(grads.x, ref_dx)
+    for name, view in params.layout.views(ref_theta).items():
+        assert np.array_equal(grads.views[name], view), name
+
+
 @GROUPED_CASES
 def test_forward_records_the_balance_stats_of_its_routing(experts, top_k, normalized,
                                                           shared_dim, n):
