@@ -9,14 +9,16 @@ command with identical inputs and seed yields a byte-identical payload.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 # every command needs these two; each _cmd_* imports the rest of what it runs
 from . import arch
@@ -26,9 +28,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
-
-# numpy commands report non-finite results as one diagnostic, without numpy's warnings
-_NUMPY_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,18 +67,55 @@ def _payload(args: argparse.Namespace, obj: dict[str, Any],
              table: Callable[[], tuple[list[str], list[list[Any]]]] | None = None) -> str:
     """``obj`` as JSON, or under --csv the ``(header, rows)`` of ``table()``, else
     ``obj``'s key/value rows; JSON requests never build the table."""
-    if args.format != "csv":
-        return _json_payload(obj)
-    return _csv_payload(*table()) if table else _flat_csv(obj)
+    rows = table() if table and args.format == "csv" else None
+    try:
+        if args.format != "csv":
+            return _json_payload(obj)
+        return _csv_payload(*rows) if rows else _flat_csv(obj)
+    except ValueError:  # writing JSON or CSV raises it only for an int past the digit limit
+        raise CliUsageError(f"payload has an integer of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+
+
+@contextlib.contextmanager
+def _numpy_run() -> Iterator[None]:
+    """Non-finite results are reported as one diagnostic, without numpy's warnings, and
+    an array size that numpy rejects before allocating, as past its index range, exits 1."""
+    import numpy as np  # numpy loads only for the commands that compute with it
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except ValueError as exc:
+        if not str(exc).startswith(("Maximum allowed dimension exceeded", "array is too big")):
+            raise
+        raise CliUsageError(f"array too large: {exc}") from None
+
+
+def _digit_limit(text: str, what: str) -> None:
+    """Raise the diagnostic of integer text past the interpreter's int-string digit
+    limit, which int() rejects whatever the value."""
+    limit = sys.get_int_max_str_digits()
+    digits = text.strip().lstrip("+-").replace("_", "")
+    if 0 < limit < len(digits) and digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"{what} has more than {limit} digits")
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        _digit_limit(text, "integer")
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
 
 
 def _real(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {reprlib.repr(text)}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {reprlib.repr(text)[1:-1]}")
     return value
 
 
@@ -88,10 +124,11 @@ def _count(text: str) -> int:
     try:
         value = arch.exact_int(text)
     except ValueError:
+        _digit_limit(text, "count")
         _real(text)  # raises the diagnostic of text that is no finite number
-        raise
     if value is None:
-        raise argparse.ArgumentTypeError(f"count must be an integer, got {text}")
+        raise argparse.ArgumentTypeError(
+            f"count must be an integer, got {reprlib.repr(text)[1:-1]}")
     arch.check_bounds({"count": value}, argparse.ArgumentTypeError, count=">= 0")
     return value
 
@@ -138,9 +175,8 @@ def _cmd_search(args: argparse.Namespace) -> CommandResult:
     from .search import SearchSpec, search
     result = search(SearchSpec(**_given(args)))
     if not result.candidates:
-        diagnostics = "; ".join(result.diagnostics) or "no feasible configuration"
         return CommandResult(EXIT_INFEASIBLE, _json_payload(result.to_json_dict()),
-                             diagnostics)
+                             "; ".join(result.diagnostics))
 
     def table() -> tuple[list[str], list[list[Any]]]:
         names = ("L", "D_m", "D_ffn", "H", "D_h", "L_e", "L_d", "E", "K", "D_e", "D_se",
@@ -230,10 +266,9 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
-    import numpy as np  # numpy loads only for the commands that compute with it
     from . import kernel
     settings = kernel.GradCheckSettings(**_given(args))
-    with np.errstate(**_NUMPY_QUIET):
+    with _numpy_run():
         report = kernel.grad_check(settings)
     payload = _payload(args, report.to_json_dict())
     code = EXIT_OK if report.passed else EXIT_NUMERICAL
@@ -244,13 +279,12 @@ def _cmd_grad_check(args: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
-    import numpy as np
     from . import toylab
     config = toylab.toy_config_from_json(
         arch.read_json_file(args.config, "config file", CliUsageError))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    with np.errstate(**_NUMPY_QUIET):
+    with _numpy_run():
         report = toylab.run_toy_training(config)
     if args.out is not None:
         report.write(args.out)
@@ -295,20 +329,20 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
         ("--zeta", {"dest": "aspect_ratio", "type": _real}),
         ("--mu", {"dest": "expert_width_ratio", "type": _real}),
         ("--alpha", {"dest": "dense_ffn_ratio", "type": _real}),
-        ("--head-dim", {"type": int}),
-        ("--seq-len", {"type": int}),
+        ("--head-dim", {"type": _int}),
+        ("--seq-len", {"type": _int}),
         ("--arrangement", {"choices": arch.ARRANGEMENTS}),
-        ("--k-min", {"type": int}),
-        ("--k-max", {"type": int}),
-        ("--de-multiple", {"dest": "expert_dim_multiple", "type": int}),
-        ("--max-experts", {"type": int}),
-        ("--limit", {"dest": "max_candidates", "type": int}))),
+        ("--k-min", {"type": _int}),
+        ("--k-max", {"type": _int}),
+        ("--de-multiple", {"dest": "expert_dim_multiple", "type": _int}),
+        ("--max-experts", {"type": _int}),
+        ("--limit", {"dest": "max_candidates", "type": _int}))),
     "dense-baseline": ("dense shape for a parameter target", _cmd_dense_baseline, (
         ("--target-n", {"dest": "target_params", "type": _count, "required": True}),
         ("--zeta", {"dest": "aspect_ratio", "type": _real, "required": True}),
         ("--alpha", {"dest": "ffn_ratio", "type": _real, "required": True}),
-        ("--head-dim", {"type": int}),
-        ("--seq-len", {"type": int}))),
+        ("--head-dim", {"type": _int}),
+        ("--seq-len", {"type": _int}))),
     "reuse": ("multi-epoch data-reuse schedule", _cmd_reuse, (
         ("--scheme", {"choices": ("strict", "loose"), "required": True}),
         ("--tokens", {"type": _count, "required": True, "help": "consumed token budget D"}),
@@ -329,20 +363,20 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
         ("--unique-tokens", {"type": _count}),
         ("--dir", {}))),
     "grad-check": ("finite-difference check of the kernel", _cmd_grad_check, (
-        ("--E", {"dest": "experts", "type": int}),
-        ("--K", {"dest": "top_k", "type": int}),
-        ("--D_m", {"dest": "model_dim", "type": int}),
-        ("--D_e", {"dest": "expert_dim", "type": int}),
-        ("--D_se", {"dest": "shared_dim", "type": int}),
+        ("--E", {"dest": "experts", "type": _int}),
+        ("--K", {"dest": "top_k", "type": _int}),
+        ("--D_m", {"dest": "model_dim", "type": _int}),
+        ("--D_e", {"dest": "expert_dim", "type": _int}),
+        ("--D_se", {"dest": "shared_dim", "type": _int}),
         ("--normalized", {"action": "store_true"}),
-        ("--seed", {"type": int}),
-        ("--trials", {"type": int}),
+        ("--seed", {"type": _int}),
+        ("--trials", {"type": _int}),
         ("--tolerance", {"type": _real}),
         ("--lam", {"type": _real}))),
     "train-toy": ("synthetic MoE training run", _cmd_train_toy, (
         ("--config", {"required": True}),
         ("--out", {}),
-        ("--seed", {"type": int}))),
+        ("--seed", {"type": _int}))),
     "validate-fixtures": ("replay the golden tables", _cmd_validate_fixtures, (
         ("--dir", {}),
         ("--table", {"action": "append"}))),

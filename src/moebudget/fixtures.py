@@ -28,6 +28,8 @@ _PACKAGED_DIR = Path(__file__).parent / "fixtures"
 
 # An index entry holds these keys and shape fields that every row of its table shares.
 _COUNT_KEYS = ("total_params", "unique_tokens")
+# Row columns that hold counts; every reader takes their cells with FixtureRow.count.
+_COUNT_COLUMNS = ("B", "D", "D_hat")
 _SHAPE_FIELD_TYPES = {f.name: f.type for cls in (DenseShape, MoEShape) for f in fields(cls)
                       if f.name in {name for _, name in DENSE_KEYS + MOE_KEYS}}
 _INDEX_KEYS = frozenset(("file", "kind", "description", "reuse_scheme", *_COUNT_KEYS,
@@ -109,9 +111,10 @@ class FixtureTable:
         """(N, D, value) power-law fit points of ``column``, one per row.
 
         N is the row's ``n_column``; a table without an "N" column states its
-        total once, as ``total_params``. D is ``row_tokens``. ``ra`` keeps only
-        rows whose r_a matches it to 0.01, and a FixtureError names the table's
-        r_a values if none does.
+        total once, as ``total_params``. D is ``row_tokens``. A count column's value
+        is read with ``FixtureRow.count``, so a fractional one is a FixtureError.
+        ``ra`` keeps only rows whose r_a matches it to 0.01, and a FixtureError names
+        the table's r_a values if none does.
         """
         points = []
         for row in self.rows:
@@ -121,7 +124,8 @@ class FixtureTable:
                 n = _meta_count(self, "total_params")
             else:
                 n = row[n_column]
-            points.append((n, float(self.row_tokens(row)), row[column]))
+            value = row.count(column) if column in _COUNT_COLUMNS else row[column]
+            points.append((n, float(self.row_tokens(row)), value))
         if not points:
             values = ", ".join(f"{v:g}" for v in sorted({row["r_a"] for row in self.rows}))
             raise FixtureError(f"fixture table {self.name!r} has no row with r_a within 0.01 "

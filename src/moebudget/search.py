@@ -215,8 +215,6 @@ def search(spec: SearchSpec) -> SearchResult:
     diagnostics = tuple(
         f"{count} (layers, top_k) combinations skipped: {reason}"
         for reason, count in sorted(skip_counts.items()))
-    if not candidates and not diagnostics:
-        diagnostics = ("no integer configuration found within the layer grid",)
     return SearchResult(candidates=candidates, diagnostics=diagnostics)
 
 

@@ -22,6 +22,7 @@ bits-per-character metrics and is labeled distinctly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,19 +65,19 @@ class ToyTask:
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def sample_batch(self, rng: np.random.Generator, sequences: int,
-                     distributions: np.ndarray) -> np.ndarray:
-        """Row i is ``rng.choice(vocab, seq_len, p=distributions[cluster_i])`` with the
-        same draws: choice searches the normalized cumsum of p at uniform draws."""
-        p = np.asarray(distributions, dtype=np.float64)
-        if p.shape != (self.clusters, self.vocab) or not np.all(p >= 0) \
-                or not np.all(np.abs(p.sum(axis=1) - 1.0) <= np.sqrt(np.finfo(np.float64).eps)):
-            raise ToyConfigError(f"distributions must be ({self.clusters}, {self.vocab}) rows "
-                                 "of finite non-negative probabilities summing to 1")
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = self.cluster_distributions().cumsum(axis=1)
+        if not np.isfinite(cdf).all():  # normal draws of a huge scale overflow to inf
+            raise ToyConfigError(f"concentration must give finite draws, got {self.concentration}")
+        return cdf / cdf[:, -1:]
+
+    def sample_batch(self, rng: np.random.Generator, sequences: int) -> np.ndarray:
+        """Row i is ``rng.choice(vocab, seq_len, p=cluster_distributions()[cluster_i])`` with
+        the same draws: choice searches the normalized cumsum of p at uniform draws."""
+        cdf = self._cdf
         which = rng.integers(0, self.clusters, size=sequences)
         uniform = rng.random((sequences, self.seq_len))
-        cdf = p.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
         batch = np.empty((sequences, self.seq_len), dtype=np.int64)
         for cluster in range(self.clusters):
             rows = which == cluster
@@ -110,9 +111,8 @@ class ToyTrainConfig:
 
 _TASK_KEYS = (("vocab", "vocab"), ("seq_len", "seq_len"), ("clusters", "clusters"),
               ("task_seed", "seed"), ("concentration", "concentration"))
-_TRAIN_KEYS = tuple((name, name) for name in (
-    "model_dim", "expert_dim", "shared_dim", "experts", "top_k", "normalized", "lam",
-    "lr", "momentum", "batch_sequences", "steps", "seed"))
+_TRAIN_KEYS = tuple((f.name, f.name) for f in dataclasses.fields(ToyTrainConfig)
+                    if f.name != "task")
 
 
 def toy_config_from_json(obj: Any) -> ToyTrainConfig:
@@ -195,8 +195,7 @@ def _init_model(config: ToyTrainConfig, rng: np.random.Generator) -> _ToyModel:
     embed = rng.normal(0.0, _INIT_SCALE, size=(config.task.vocab, config.model_dim))
     mix = rng.normal(0.0, _INIT_SCALE, size=(config.model_dim, config.model_dim))
     block = init_block_params(rng, config.experts, config.top_k, config.model_dim,
-                              config.expert_dim, config.shared_dim,
-                              config.normalized)
+                              config.expert_dim, config.shared_dim, config.normalized)
     head = rng.normal(0.0, _INIT_SCALE, size=(config.task.vocab, config.model_dim))
     layout = Layout.of([("embed", embed.shape), ("mix", mix.shape),
                         ("block", block.theta.shape), ("head", head.shape)])
@@ -241,13 +240,6 @@ def _forward_backward(model: _ToyModel, inputs: np.ndarray, targets: np.ndarray,
     return ce, cache.balance.balance_loss, cache.balance.selection_counts, grad
 
 
-def _load_cv(histogram: np.ndarray) -> float:
-    mean = histogram.mean()
-    if mean == 0:
-        return 0.0
-    return float(histogram.std() / mean)
-
-
 def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     """Train the toy stack; deterministic given the config seed.
 
@@ -257,23 +249,21 @@ def run_toy_training(config: ToyTrainConfig) -> TrainReport:
     reals.
     """
     rng = np.random.default_rng(config.seed)
-    distributions = config.task.cluster_distributions()
     model = _init_model(config, rng)
     theta, velocity, ws = model.theta, np.zeros_like(model.theta), Workspace()
     records: list[StepRecord] = []
     for step in range(config.steps + 1):
-        batch = config.task.sample_batch(rng, config.batch_sequences, distributions)
+        batch = config.task.sample_batch(rng, config.batch_sequences)
         inputs, targets = batch[:, :-1].ravel(), batch[:, 1:].ravel()
         try:
-            ce, bal, hist, grad = _forward_backward(model, inputs, targets,
-                                                    config.lam, ws)
+            ce, bal, hist, grad = _forward_backward(model, inputs, targets, config.lam, ws)
         except KernelError as exc:  # exploded weights surface as non-finite inputs
             raise DivergenceError(step) from exc
         if not (math.isfinite(ce) and math.isfinite(bal)):
             raise DivergenceError(step)
         records.append(StepRecord(step=step, ce_loss=ce, balance_loss=bal,
                                   expert_load_histogram=tuple(int(c) for c in hist),
-                                  load_cv=_load_cv(hist)))
+                                  load_cv=float(hist.std() / hist.mean())))
         if step > 0:  # step 0 only evaluates the initial weights
             velocity *= config.momentum
             velocity += grad

@@ -134,6 +134,13 @@ class TestExitCodes:
         assert result.diagnostics.startswith(f"{field} must be")
         assert "\n" not in result.diagnostics
 
+    def test_a_concentration_whose_draws_overflow_is_a_validation_error(self, tmp_path):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"concentration": 1e308, "steps": 1}))
+        result = dispatch(["train-toy", "--config", str(config)])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", "concentration must give finite draws, got 1e+308")
+
     # each first allocation (28.4 and 4.55 PiB) is past the 128 TiB user address space,
     # so it fails at once on any machine
     @pytest.mark.parametrize("argv,config", [
@@ -150,6 +157,40 @@ class TestExitCodes:
         assert result.payload == ""
         assert result.diagnostics.startswith("out of memory: Unable to allocate ")
         assert "\n" not in result.diagnostics
+
+    # numpy rejects each size before it allocates anything: a dimension past the index
+    # range, or a product of dimensions past it
+    @pytest.mark.parametrize("argv,config,message", [
+        *(pytest.param(["grad-check", flag, str(10**30)], None,
+                       "Maximum allowed dimension exceeded", id=f"grad-check{flag}")
+          for flag in ("--E", "--D_m", "--D_e", "--D_se")),
+        pytest.param(["grad-check", "--D_e", str(10**17)], None, "array is too big; ",
+                     id="grad-check--D_e-product"),
+        *(pytest.param(["train-toy"], {key: 10**30}, "Maximum allowed dimension exceeded",
+                       id=f"train-toy-{key}")
+          for key in ("experts", "model_dim", "vocab", "batch_sequences", "seq_len",
+                      "clusters")),
+        pytest.param(["train-toy"], {"expert_dim": 10**17, "steps": 1}, "array is too big; ",
+                     id="train-toy-expert_dim-product"),
+    ])
+    def test_an_array_numpy_cannot_index_is_a_validation_error(self, tmp_path, argv, config,
+                                                               message):
+        if config is not None:
+            path = tmp_path / "toy.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        result = dispatch(argv)
+        assert (result.exit_code, result.payload) == (1, "")
+        assert result.diagnostics.startswith(f"array too large: {message}")
+        assert "\n" not in result.diagnostics
+
+    def test_an_output_path_that_is_a_file_is_a_validation_error(self, tmp_path):
+        config, out = tmp_path / "toy.json", tmp_path / "out"
+        config.write_text(json.dumps({"steps": 2}))
+        out.write_text("")
+        result = dispatch(["train-toy", "--config", str(config), "--out", str(out)])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", f"[Errno 17] File exists: '{out}'")
 
     @pytest.mark.parametrize("argv", [
         ["search", "--target-n", "6.52e9", "--target-ra", "0.2", "--zeta", "1e308"],
@@ -425,6 +466,48 @@ class TestStrictInput:
         assert (result.exit_code, result.payload, result.diagnostics) == (
             1, "", "shapes file must hold a nonempty JSON list")
 
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["reuse", "--scheme", "loose", "--tokens", "1" + "0" * 4400],
+         f"argument --tokens: count has more than {LIMIT} digits"),
+        (["reuse", "--scheme", "loose", "--tokens", "x" * 5000],
+         "argument --tokens: expected a number, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (["grad-check", "--E", "9" * 5000],
+         f"argument --E: integer has more than {LIMIT} digits"),
+        (["grad-check", "--E", "9" * 5000 + "x"],
+         "argument --E: invalid int value: '999999999999...999999999999x'"),
+        (["reuse", "--scheme", "loose", "--tokens", "1." + "5" * 5000],
+         "argument --tokens: count must be an integer, got 1.5555555555...5555555555555"),
+        (["search", "--target-n", "6.52e9", "--target-ra", "1" + "0" * 5000],
+         "argument --target-ra: expected a finite number, got 100000000000...000000000000"),
+        (["reuse", "--scheme", "loose", "--tokens", "-" + "9" * 4299],
+         "argument --tokens: count must be >= 0, got -99999999999999999...9999999999999999999"),
+        (["grad-check", "--E", "-" + "9" * 4299],
+         "experts must be >= 1, got -99999999999999999...9999999999999999999"),
+    ], ids=["count-digits", "count-text", "int-digits", "int-text", "fraction", "real",
+            "count-bound", "int-bound"])
+    def test_long_flag_text_is_named_and_echoed_bounded(self, argv, message):
+        result = dispatch(argv)
+        assert (result.exit_code, result.payload) == (1, "")
+        assert message in result.diagnostics
+        assert len(result.diagnostics) < 200
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--target-n", "1e9", "--target-ra", "0.2", "--seq-len", "9" * 4299],
+        ["dense-baseline", "--target-n", "1e9", "--zeta", "88", "--alpha", "2.77",
+         "--seq-len", "9" * 4299],
+        ["plan", "dense", "--shape-file", "{dense}"],
+    ], ids=["search", "dense-baseline", "plan"])
+    @pytest.mark.parametrize("csv_flag", [[], ["--csv"]], ids=["json", "csv"])
+    def test_payload_integer_past_the_digit_limit_is_a_validation_error(self, tmp_path, argv,
+                                                                         csv_flag):
+        dense = tmp_path / "dense.json"
+        dense.write_text(json.dumps({**DENSE_7B_SHAPE, "L": int("9" * 4299)}))
+        result = dispatch([a.format(dense=dense) for a in argv] + csv_flag)
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", f"payload has an integer of more than {self.LIMIT} digits")
+
     def test_compute_budget_round_trips_beyond_float_precision(self, moe_shape_file):
         fwd = derive_budget(shape_from_json(MOE_7B_SHAPE)).fwd_flops_per_token
         tokens = 2**61 + 12345
@@ -466,7 +549,7 @@ _PLANNING_BASES = {
 PLANNING_FLAGS = [
     (base, flag) for command, bases in _PLANNING_BASES.items() for base in bases
     for flag, keywords in cli.COMMANDS[command][2]
-    if keywords.get("type") in (cli._count, cli._real, int)
+    if keywords.get("type") in (cli._count, cli._real, cli._int)
 ] + [(_SEARCH, "--k-max", "--max-experts")]
 FUZZ_VALUES = ["0", "1", "0.5", "1e-300", "1e300", "-1", str(2**70)]
 

@@ -244,6 +244,32 @@ def test_fractional_count_is_a_fixture_error(tmp_path, argv, table, column, valu
     assert result.diagnostics == f"{table} row 0: {column} must be int, got {value}"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["fit-hparams", "--from-fixture", "moe_7b_strict_reuse", "--target", "batch"], 1),
+    (["sweep", "--fixed", "c", "--value", "2.86e21", "--hparams-from",
+      "moe_7b_strict_reuse"], 1),
+    (["fit-hparams", "--from-fixture", "moe_7b_strict_reuse", "--target", "eta"], 0),
+], ids=["fit-batch", "sweep", "fit-eta"])
+def test_fractional_batch_cell_is_read_as_validation_reads_it(tmp_path, argv, code):
+    copy_tables(tmp_path)
+
+    def set_first_row(rows):
+        rows[0]["B"] = "1344.5"
+        return rows
+
+    edit_csv(tmp_path / "moe_7b_strict_reuse.csv", set_first_row)
+    table = load_table("moe_7b_strict_reuse")
+    shapes = tmp_path / "shapes.json"
+    shapes.write_text(json.dumps([shape_to_json(table.row_shape(table.rows[0]))]))
+    if argv[0] == "sweep":
+        argv = [*argv, "--shapes-file", str(shapes)]
+    result = dispatch([*argv, "--dir", str(tmp_path)])
+    assert result.exit_code == code, result.diagnostics
+    if code:
+        assert result.payload == ""
+        assert result.diagnostics == "moe_7b_strict_reuse row 0: B must be int, got 1344.5"
+
+
 @pytest.mark.parametrize("text", ["12345678901234567891", "1.2345678901234567891e19"])
 def test_count_cell_is_read_exactly_beyond_float_precision(tmp_path, text):
     copy_tables(tmp_path)

@@ -355,11 +355,10 @@ def test_toy_steps_allocate_no_buffer_in_steady_state():
     config = toylab.ToyTrainConfig(steps=3, batch_sequences=4)
     rng = np.random.default_rng(config.seed)
     model = toylab._init_model(config, rng)
-    distributions = config.task.cluster_distributions()
     ws = Workspace()
     held = None
     for step in range(4):
-        batch = config.task.sample_batch(rng, config.batch_sequences, distributions)
+        batch = config.task.sample_batch(rng, config.batch_sequences)
         toylab._forward_backward(model, batch[:, :-1].ravel(), batch[:, 1:].ravel(),
                                  config.lam, ws)
         if step == 1:
