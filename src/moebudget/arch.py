@@ -41,8 +41,8 @@ def _clauses(bound: str) -> tuple[tuple[Callable[[Any, Any], bool], Any], ...]:
 
 def check_bounds(values: Any, error: type[Exception], **bounds: str) -> None:
     """Raise ``error(f"{name} must be {bound}, got {value}")`` for the first field of
-    ``values`` (item, if it is a dict), in argument order, outside its bound; the value
-    is echoed bounded, as ``reprlib.repr`` gives it.
+    ``values`` (item, if it is a dict), in argument order, outside its bound; the bound
+    text and the value are echoed bounded, as ``reprlib.repr`` gives them.
 
     A bound is clauses joined by ``" and "``: ``">= x"``, ``"> x"``, ``"finite"``,
     ``"in (a, b]"`` or ``"in [a, b]"``. Each clause is tested by comparison, so a NaN
@@ -50,9 +50,8 @@ def check_bounds(values: Any, error: type[Exception], **bounds: str) -> None:
     """
     for name, bound in bounds.items():
         value = values[name] if isinstance(values, dict) else getattr(values, name)
-        for compare, number in _clauses(bound):
-            if not compare(value, number):
-                raise error(f"{name} must be {bound}, got {reprlib.repr(value)}")
+        if not all(compare(value, number) for compare, number in _clauses(bound)):
+            raise error(f"{name} must be {reprlib.repr(bound)[1:-1]}, got {reprlib.repr(value)}")
 
 
 def check_routing(experts: int, top_k: int, normalized: bool,

@@ -91,51 +91,40 @@ def _numpy_run() -> Iterator[None]:
         raise CliUsageError(f"array too large: {exc}") from None
 
 
-def _digit_limit(text: str, what: str) -> None:
-    """Raise the diagnostic of integer text past the interpreter's int-string digit
-    limit, which int() rejects whatever the value."""
-    limit = sys.get_int_max_str_digits()
-    digits = text.strip().lstrip("+-").replace("_", "")
-    if 0 < limit < len(digits) and digits.isdecimal():
-        raise argparse.ArgumentTypeError(f"{what} has more than {limit} digits")
+def _reader(kind: str) -> Callable[[str], Any]:
+    """The argparse type of an "integer", a "count" (an exact non-negative int: integer
+    text, or finite float text naming one) or a "real" (a finite float). Integer text past
+    int()'s digit limit is named before it is parsed; text is echoed bounded."""
+    def read(text: str) -> Any:
+        echo, limit = reprlib.repr(text), sys.get_int_max_str_digits()
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if kind != "real" and 0 < limit < len(digits) and digits.isdecimal():
+            raise argparse.ArgumentTypeError(f"{kind} has more than {limit} digits")
+        try:
+            value = {"integer": int, "count": arch.exact_int, "real": float}[kind](text)
+        except ValueError:
+            if kind == "count":
+                _real(text)  # raises the diagnostic of text that is no finite number
+            raise argparse.ArgumentTypeError(f"invalid int value: {echo}" if kind == "integer"
+                                             else f"expected a number, got {echo}") from None
+        if kind == "real" and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"expected a finite number, got {echo[1:-1]}")
+        if kind == "count":
+            if value is None:
+                raise argparse.ArgumentTypeError(f"count must be an integer, got {echo[1:-1]}")
+            arch.check_bounds({"count": value}, argparse.ArgumentTypeError, count=">= 0")
+        return value
+    return read
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        _digit_limit(text, "integer")
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+_int, _count, _real = _reader("integer"), _reader("count"), _reader("real")
 
 
-def _real(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {reprlib.repr(text)}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {reprlib.repr(text)[1:-1]}")
-    return value
-
-
-def _count(text: str) -> int:
-    """An exact non-negative int: integer text, or finite float text naming an integer."""
-    try:
-        value = arch.exact_int(text)
-    except ValueError:
-        _digit_limit(text, "count")
-        _real(text)  # raises the diagnostic of text that is no finite number
-    if value is None:
-        raise argparse.ArgumentTypeError(
-            f"count must be an integer, got {reprlib.repr(text)[1:-1]}")
-    arch.check_bounds({"count": value}, argparse.ArgumentTypeError, count=">= 0")
-    return value
-
-
-def _given(args: argparse.Namespace) -> dict[str, Any]:
-    """The given flags of an ``argument_default=SUPPRESS`` subparser, by field name."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "format")}
+def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
+    """The flags among ``names`` (every flag but the command and --format if none are
+    named) that were given, by field name; an absent flag takes its owner's default."""
+    names = names or tuple(name for name in vars(args) if name not in ("command", "format"))
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _budget_payload(args: argparse.Namespace, shape: arch.DenseShape | arch.MoEShape,
@@ -157,7 +146,7 @@ def _cmd_plan(args: argparse.Namespace) -> CommandResult:
         raise CliUsageError(f"{args.shape_file} holds a dense shape, not MoE")
     if args.kind == "dense" and is_moe:
         raise CliUsageError(f"{args.shape_file} holds an MoE shape, not dense")
-    budget = arch.derive_budget(shape, tokens=args.tokens)
+    budget = arch.derive_budget(shape, **_given(args, "tokens"))
     return CommandResult(EXIT_OK, _budget_payload(args, shape, budget))
 
 
@@ -202,7 +191,7 @@ def _cmd_dense_baseline(args: argparse.Namespace) -> CommandResult:
 
 def _cmd_reuse(args: argparse.Namespace) -> CommandResult:
     from . import planner
-    plan = planner.reuse_plan(args.scheme, args.tokens, args.unique_tokens)
+    plan = planner.reuse_plan(args.scheme, args.tokens, **_given(args, "unique_tokens"))
     return CommandResult(EXIT_OK, _payload(args, plan.to_json_dict()), plan.warning or "")
 
 
@@ -212,18 +201,18 @@ def _table_name(raw: str) -> str:
 
 def _cmd_fit_hparams(args: argparse.Namespace) -> CommandResult:
     from . import fixtures, planner
-    table = fixtures.load_table(_table_name(args.from_fixture), args.dir)
+    table = fixtures.load_table(_table_name(args.from_fixture), **_given(args, "directory"))
     column = {"eta": "eta", "batch": "B"}[args.target]
-    fit = planner.fit_hparam_power_law(table.fit_points(column, args.n_column, args.ra),
-                                       args.n_column)
+    fit = planner.fit_hparam_power_law(table.fit_points(column, **_given(args, "n_column", "ra")),
+                                       **_given(args, "n_column"))
     obj = fit.to_json_dict()
     obj["target"] = args.target
     # Residuals with the other parameter column, when the table offers one,
     # settle which count the law prefers.
-    alt_column = "N_a" if args.n_column == "N" else "N"
+    alt_column = "N_a" if fit.n_column == "N" else "N"
     try:
         obj["alt_n_column_residual_rms"] = planner.fit_hparam_power_law(
-            table.fit_points(column, alt_column, args.ra)).residual_rms
+            table.fit_points(column, alt_column, **_given(args, "ra"))).residual_rms
     except (planner.PlannerError, fixtures.FixtureError):
         obj["alt_n_column_residual_rms"] = None
     return CommandResult(EXIT_OK, _payload(args, obj))
@@ -245,22 +234,22 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandResult:
         if wrapped and "eta" in entry and "B" in entry:
             row_hparams.append((entry["eta"], entry["B"]))
     fits = None
-    if args.hparams_from is not None:
+    if "hparams_from" in args:
         if carries_hparams:
             raise CliUsageError("--hparams-from refits eta and B, so the shapes file "
                                 "entries must not give them")
         from . import fixtures  # only a refit reads a fixture table
-        table = fixtures.load_table(_table_name(args.hparams_from), args.dir)
-        fits = tuple(planner.fit_hparam_power_law(table.fit_points(column, args.n_column),
-                                                  args.n_column) for column in ("eta", "B"))
+        table = fixtures.load_table(_table_name(args.hparams_from), **_given(args, "directory"))
+        n_column = _given(args, "n_column")
+        fits = tuple(planner.fit_hparam_power_law(table.fit_points(column, **n_column), **n_column)
+                     for column in ("eta", "B"))
     elif len(row_hparams) < len(shapes):
         raise CliUsageError(
             "no eta/B source: give per-entry eta and B in the shapes file or "
             "--hparams-from <fixture table>")
     plan = planner.build_sweep(
         fixed=args.fixed.upper(), value=args.value, shapes=shapes, hparam_fits=fits,
-        row_hparams=row_hparams or None,
-        reuse_scheme=args.reuse, unique_tokens=args.unique_tokens)
+        row_hparams=row_hparams or None, **_given(args, "reuse_scheme", "unique_tokens"))
     return CommandResult(EXIT_OK, _payload(args, plan.to_json_dict(),
                                            lambda: planner.sweep_to_csv_rows(plan)))
 
@@ -282,19 +271,17 @@ def _cmd_train_toy(args: argparse.Namespace) -> CommandResult:
     from . import toylab
     config = toylab.toy_config_from_json(
         arch.read_json_file(args.config, "config file", CliUsageError))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = dataclasses.replace(config, **_given(args, "seed"))
     with _numpy_run():
         report = toylab.run_toy_training(config)
-    if args.out is not None:
+    if "out" in args:
         report.write(args.out)
     return CommandResult(EXIT_OK, _payload(args, report.summary_dict()))
 
 
 def _cmd_validate_fixtures(args: argparse.Namespace) -> CommandResult:
     from . import fixtures
-    names = args.table if args.table else None
-    report = fixtures.validate_fixture_tables(names, args.dir)
+    report = fixtures.validate_fixture_tables(**_given(args))
 
     def table() -> tuple[list[str], list[list[Any]]]:
         # the columns of RowCheck.to_json_dict, named even when no table was checked
@@ -319,7 +306,7 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
     "plan": ("budget for a shape file", _cmd_plan, (
         ("kind", {"choices": ("moe", "dense")}),
         ("--shape-file", {"required": True}),
-        ("--tokens", {"type": _count, "default": 0}))),
+        ("--tokens", {"type": _count}))),
     "budget": ("token budget for a compute budget", _cmd_budget, (
         ("--compute", {"type": _count, "required": True}),
         ("--shape-file", {"required": True}))),
@@ -350,18 +337,18 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
     "fit-hparams": ("power-law refit from a fixture table", _cmd_fit_hparams, (
         ("--from-fixture", {"required": True, "metavar": "TABLE"}),
         ("--target", {"choices": ("eta", "batch"), "required": True}),
-        ("--n-column", {"choices": ("N", "N_a"), "default": "N"}),
+        ("--n-column", {"choices": ("N", "N_a")}),
         ("--ra", {"type": _real, "help": "keep only rows with this r_a (percent)"}),
-        ("--dir", {"help": "fixture directory override"}))),
+        ("--dir", {"dest": "directory", "metavar": "DIR", "help": "fixture directory override"}))),
     "sweep": ("activation-rate sweep at fixed C or D", _cmd_sweep, (
         ("--fixed", {"choices": ("c", "d"), "required": True}),
         ("--value", {"type": _count, "required": True}),
         ("--shapes-file", {"required": True}),
         ("--hparams-from", {"metavar": "TABLE"}),
-        ("--n-column", {"choices": ("N", "N_a"), "default": "N"}),
-        ("--reuse", {"choices": ("strict", "loose")}),
+        ("--n-column", {"choices": ("N", "N_a")}),
+        ("--reuse", {"dest": "reuse_scheme", "choices": ("strict", "loose")}),
         ("--unique-tokens", {"type": _count}),
-        ("--dir", {}))),
+        ("--dir", {"dest": "directory", "metavar": "DIR"}))),
     "grad-check": ("finite-difference check of the kernel", _cmd_grad_check, (
         ("--E", {"dest": "experts", "type": _int}),
         ("--K", {"dest": "top_k", "type": _int}),
@@ -378,12 +365,9 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], CommandResult],
         ("--out", {}),
         ("--seed", {"type": _int}))),
     "validate-fixtures": ("replay the golden tables", _cmd_validate_fixtures, (
-        ("--dir", {}),
-        ("--table", {"action": "append"}))),
+        ("--dir", {"dest": "directory", "metavar": "DIR"}),
+        ("--table", {"dest": "names", "metavar": "TABLE", "action": "append"}))),
 }
-# these commands hand _given(args) to the owner of each default, so an absent flag stays
-# out of their namespace
-_OWNER_DEFAULTS = ("search", "dense-baseline", "grad-check")
 _FORMAT_FLAGS = (("--format", {"choices": ("json", "csv"), "default": "json"}),
                  ("--json", {"dest": "format", "action": "store_const", "const": "json"}),
                  ("--csv", {"dest": "format", "action": "store_const", "const": "csv"}))
@@ -402,8 +386,7 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
         # option before a command is reported, not that command's missing flags
         for name in (argv[:1] if named else COMMANDS):
             help_text, _, flags = COMMANDS[name]
-            p = sub.add_parser(name, help=help_text, argument_default=(
-                argparse.SUPPRESS if name in _OWNER_DEFAULTS else None))
+            p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
             for flag, keywords in (flags + _FORMAT_FLAGS if named else ()):
                 p.add_argument(flag, **keywords)
         args = parser.parse_args(argv)

@@ -446,6 +446,13 @@ class TestStrictInput:
         else:
             assert (result.exit_code, result.payload, result.diagnostics) == (1, "", message)
 
+    def test_other_overflow_is_out_of_range(self):
+        # the head_dim grid divides a float by the flag's int, which no float holds
+        result = dispatch(["search", "--target-n", "1e9", "--target-ra", "0.2",
+                           "--head-dim", str(10**400)])
+        assert (result.exit_code, result.payload, result.diagnostics) == (
+            1, "", "out of range: int too large to convert to float")
+
     def test_float_text_count_is_read_exactly(self):
         result = dispatch(["reuse", "--scheme", "loose", "--tokens", "1e24"])
         assert result.exit_code == 0
@@ -485,10 +492,16 @@ class TestStrictInput:
          "argument --tokens: count must be >= 0, got -99999999999999999...9999999999999999999"),
         (["grad-check", "--E", "-" + "9" * 4299],
          "experts must be >= 1, got -99999999999999999...9999999999999999999"),
+        (["search", "--target-n", "1e9", "--target-ra", "0.2", "--k-min", "9" * 4299],
+         "k_max must be >= 999999999...9999999999999, got 32"),
+        (["train-toy", "--config", "{toy}"],
+         "top_k must be in [1, 99999...999999999999], got 0"),
     ], ids=["count-digits", "count-text", "int-digits", "int-text", "fraction", "real",
-            "count-bound", "int-bound"])
-    def test_long_flag_text_is_named_and_echoed_bounded(self, argv, message):
-        result = dispatch(argv)
+            "count-bound", "int-bound", "bound-text", "config-bound-text"])
+    def test_long_flag_text_is_named_and_echoed_bounded(self, tmp_path, argv, message):
+        toy = tmp_path / "toy.json"
+        toy.write_text(f'{{"experts": {"9" * 4299}, "top_k": 0}}')
+        result = dispatch([str(toy) if a == "{toy}" else a for a in argv])
         assert (result.exit_code, result.payload) == (1, "")
         assert message in result.diagnostics
         assert len(result.diagnostics) < 200
@@ -551,7 +564,8 @@ PLANNING_FLAGS = [
     for flag, keywords in cli.COMMANDS[command][2]
     if keywords.get("type") in (cli._count, cli._real, cli._int)
 ] + [(_SEARCH, "--k-max", "--max-experts")]
-FUZZ_VALUES = ["0", "1", "0.5", "1e-300", "1e300", "-1", str(2**70)]
+FUZZ_VALUES = ["0", "1", "0.5", "1e-300", "1e300", "-1", str(2**70), str(10**400),
+               "9" * 4299, "-" + "9" * 4299]
 
 
 class TestPlanningCommandsContract:
@@ -560,6 +574,7 @@ class TestPlanningCommandsContract:
 
     @given(case=st.sampled_from(PLANNING_FLAGS), value=st.sampled_from(FUZZ_VALUES))
     @example(case=PLANNING_FLAGS[-1], value=str(2**70))
+    @example(case=(_SEARCH, "--k-min"), value="9" * 4299)  # its bound text holds the value
     @settings(max_examples=200, deadline=3000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_edge_flag_values(self, planning_files, case, value):
@@ -571,6 +586,7 @@ class TestPlanningCommandsContract:
         assert "\n" not in result.diagnostics, (argv, result)
         if result.exit_code == 1:
             assert result.payload == "" and result.diagnostics, (argv, result)
+            assert len(result.diagnostics) < 200, (argv, result)
         if result.payload:
             _strict_json(result.payload)
 

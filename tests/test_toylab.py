@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from moebudget import toylab
+from moebudget.errors import KernelError
 from moebudget.kernel import BlockParams, Workspace, balance_stats, moe_batch_forward
 from moebudget.toylab import (
     DivergenceError,
@@ -65,6 +66,16 @@ def test_divergence_step_is_pinned(seed):
     with pytest.raises(DivergenceError) as excinfo:
         run_toy_training(ToyTrainConfig(lr=1e9, seed=seed, steps=50))
     assert excinfo.value.step == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_kernel_input_is_divergence():
+    # the first update explodes the weights, and the kernel's input check names it
+    with pytest.raises(DivergenceError) as excinfo:
+        run_toy_training(ToyTrainConfig(lr=1e300, steps=5))
+    assert excinfo.value.step == 2
+    assert isinstance(excinfo.value.__cause__, KernelError)
+    assert str(excinfo.value.__cause__) == "x contains non-finite entries"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
